@@ -13,7 +13,6 @@ from .core import (
     Occurrence,
     Pattern,
     SignedPermutation,
-    even_signed_permutations,
     parse,
     signed_permutations,
 )
@@ -43,9 +42,7 @@ from .gf import (
     validate_signature,
 )
 from .oracle import (
-    CountTable,
     avoider_counts,
-    binomial,
     catalan,
     classical_1234_formula,
     classical_avoiders,
@@ -60,7 +57,6 @@ __all__ = [
     "Occurrence",
     "Pattern",
     "SignedPermutation",
-    "even_signed_permutations",
     "parse",
     "signed_permutations",
     "PermTreeNode",
@@ -84,9 +80,7 @@ __all__ = [
     "signature_of",
     "signatures",
     "validate_signature",
-    "CountTable",
     "avoider_counts",
-    "binomial",
     "catalan",
     "classical_1234_formula",
     "classical_avoiders",

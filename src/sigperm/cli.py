@@ -10,7 +10,7 @@ tree        dump an explicit generating tree as JSON
 
 Counts serialize as decimal strings so consumers with 64-bit integers cannot
 overflow.  Exit codes: 0 all good, 1 a verification inequality was found,
-2 usage error.
+2 a usage, output or environment error.
 """
 
 from __future__ import annotations
@@ -22,32 +22,14 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import __version__, gentree, gf, oracle
 from .core import Pattern
 
-__all__ = ["main", "build_parser", "RunManifest"]
+__all__ = ["main", "build_parser"]
 
-
-@dataclass
-class RunManifest:
-    """Everything needed to rerun a command and audit its output."""
-
-    command: str
-    patterns: list[str]
-    n_min: int
-    n_max: int
-    j: int | None
-    methods: list[str]
-    degree_bound: int | None
-    workers: int
-    wall_time_s: float
-    version: str
-
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
+CONJECTURE_GUARD = 6  # largest conjecture --max-n run without --allow-long
 
 
 def dumps_payload(doc: dict[str, Any]) -> str:
@@ -56,47 +38,67 @@ def dumps_payload(doc: dict[str, Any]) -> str:
 
 
 def _emit(
-    doc: dict[str, Any],
-    columns: Sequence[str],
-    fmt: str,
-    output: str | None,
+    args: argparse.Namespace,
+    started: float,
+    manifest_fields: dict[str, Any],
+    body: dict[str, Any],
+    columns: Sequence[str] = (),
+    table: list[str] | None = None,
 ) -> None:
-    if fmt == "json":
+    """Stamp the run manifest onto ``body`` and write it in ``args.format``.
+
+    ``columns`` names the cells of ``body["rows"]`` for table and csv;
+    ``table`` gives the table lines directly.  With neither, the payload is
+    JSON in every format.  Exits 2 when the output cannot be written.
+    """
+    manifest = {
+        "command": shlex.join(args.argv),
+        "n_min": 0,
+        "n_max": 0,
+        "j": None,
+        "degree_bound": None,
+        "workers": 1,
+        **manifest_fields,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+        "version": __version__,
+    }
+    doc = {"manifest": manifest, **body}
+    note = "# manifest: " + json.dumps(manifest, sort_keys=True)
+    if args.format == "json" or not (columns or table):
         text = dumps_payload(doc)
-    elif fmt == "csv":
-        lines = ["# manifest: " + json.dumps(doc["manifest"], sort_keys=True)]
-        lines.append(",".join(columns))
-        for row in doc["rows"]:
-            lines.append(
-                ",".join("" if row[c] is None else str(row[c]) for c in columns)
-            )
-        text = "\n".join(lines) + "\n"
+    elif table is not None:
+        text = "\n".join([*table, note]) + "\n"
     else:
         cells = [
             ["" if row[c] is None else str(row[c]) for c in columns]
-            for row in doc["rows"]
+            for row in body["rows"]
         ]
-        widths = [
-            max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
-            for i, col in enumerate(columns)
-        ]
-        lines = [
-            "  ".join(col.ljust(w) for col, w in zip(columns, widths)).rstrip()
-        ]
-        for row in cells:
-            lines.append(
+        if args.format == "csv":
+            lines = [note, ",".join(columns), *(",".join(row) for row in cells)]
+        else:
+            widths = [
+                max([len(col)] + [len(row[i]) for row in cells])
+                for i, col in enumerate(columns)
+            ]
+            lines = [
                 "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            )
-        lines.append("# manifest: " + json.dumps(doc["manifest"], sort_keys=True))
+                for row in [list(columns), *cells]
+            ]
+            lines.append(note)
         text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        target = args.output or "stdout"
+        print(f"sigperm: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        sys.exit(2)
 
 
-def _resolve_workers(args: argparse.Namespace) -> int:
+def _resolve_workers(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("SIGPERM_THREADS")
@@ -104,8 +106,8 @@ def _resolve_workers(args: argparse.Namespace) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
-    return os.cpu_count() or 1
+            parser.error(f"SIGPERM_THREADS={env!r} is not an integer")
+    return oracle.usable_cpus()
 
 
 def _parse_pattern(parser: argparse.ArgumentParser, text: str) -> Pattern:
@@ -113,10 +115,6 @@ def _parse_pattern(parser: argparse.ArgumentParser, text: str) -> Pattern:
         return Pattern.parse(text)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError  # parser.error always exits
-
-
-_TREE_PATTERN_TEXTS = {"1234", "2143"}
 
 
 def _count_one(n: int, j: int, pattern: Pattern, method: str, workers: int) -> int:
@@ -132,7 +130,7 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     method = args.method
     if args.n < 0:
         parser.error("--n must be nonnegative")
-    if method in ("tree", "gf") and str(pattern) not in _TREE_PATTERN_TEXTS:
+    if method in ("tree", "gf") and pattern not in gentree.TREE_PATTERNS:
         parser.error(
             f"method {method!r} supports only patterns 1234 and 2143, "
             f"not {pattern}"
@@ -148,90 +146,56 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.j is not None and not 0 <= args.j <= args.n:
         parser.error(f"--j {args.j} outside 0..{args.n}")
 
-    workers = _resolve_workers(args)
+    workers = _resolve_workers(parser, args)
     started = time.perf_counter()
-    rows: list[dict[str, Any]] = []
     if method == "formula":
-        rows.append(
-            {
-                "n": args.n,
-                "j": None,
-                "pattern": str(pattern),
-                "method": method,
-                "count": str(oracle.egge_formula(args.n)),
-            }
-        )
-    elif args.j is not None:
-        rows.append(
-            {
-                "n": args.n,
-                "j": args.j,
-                "pattern": str(pattern),
-                "method": method,
-                "count": str(_count_one(args.n, args.j, pattern, method, workers)),
-            }
-        )
+        cells = [(None, oracle.egge_formula(args.n))]
     else:
-        total = 0
-        for j in range(args.n + 1):
-            c = _count_one(args.n, j, pattern, method, workers)
-            total += c
-            rows.append(
-                {
-                    "n": args.n,
-                    "j": j,
-                    "pattern": str(pattern),
-                    "method": method,
-                    "count": str(c),
-                }
-            )
-        rows.append(
-            {
-                "n": args.n,
-                "j": None,
-                "pattern": str(pattern),
-                "method": method,
-                "count": str(total),
-            }
-        )
-    manifest = RunManifest(
-        command=shlex.join(args.argv),
-        patterns=[str(pattern)],
-        n_min=args.n,
-        n_max=args.n,
-        j=args.j,
-        methods=[method],
-        degree_bound=None if method != "gf" else args.n + 1,
-        workers=workers,
-        wall_time_s=round(time.perf_counter() - started, 6),
-        version=__version__,
-    )
-    doc = {"manifest": manifest.as_dict(), "rows": rows}
-    _emit(doc, ("n", "j", "pattern", "method", "count"), args.format, args.output)
+        js = [args.j] if args.j is not None else range(args.n + 1)
+        cells = [(j, _count_one(args.n, j, pattern, method, workers)) for j in js]
+        if args.j is None:
+            cells.append((None, sum(c for _, c in cells)))
+    rows = [
+        dict(n=args.n, j=j, pattern=str(pattern), method=method, count=str(c))
+        for j, c in cells
+    ]
+    manifest = {
+        "patterns": [str(pattern)],
+        "n_min": args.n,
+        "n_max": args.n,
+        "j": args.j,
+        "methods": [method],
+        "degree_bound": args.n + 1 if method == "gf" else None,
+        "workers": workers,
+    }
+    columns = ("n", "j", "pattern", "method", "count")
+    _emit(args, started, manifest, {"rows": rows}, columns)
     return 0
 
 
-def _verify_checks(max_n: int, workers: int) -> list[dict[str, Any]]:
-    """Run every cross-method identity; one result dict per named check."""
-    p1234 = Pattern.parse("1234")
-    p2143 = Pattern.parse("2143")
-    checks: list[dict[str, Any]] = []
+def _check_row(name: str, scope: str, failures: Iterator[str]) -> dict[str, str]:
+    """A verify row: the first failure detail, or the check's scope."""
+    detail = next(failures, None)
+    if detail is None:
+        return {"name": name, "status": "pass", "detail": scope}
+    return {"name": name, "status": "fail", "detail": detail}
 
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append(
-            {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-        )
 
-    brute: dict[str, list[tuple[int, ...]]] = {}
-    for pattern in (p1234, p2143):
-        brute[str(pattern)] = [
-            oracle.avoider_counts(n, pattern, workers=workers)
-            for n in range(max_n + 1)
-        ]
+def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
+    """Run every cross-method identity; one result dict per named check.
 
-    for pattern in (p1234, p2143):
-        ok, detail = True, f"n <= {max_n}"
-        for n in range(max_n + 1):
+    Each check is a generator of failure details, consumed only up to its
+    first failure.
+    """
+    p1234, p2143 = gentree.TREE_PATTERNS
+    sizes = range(max_n + 1)
+    brute = {
+        str(p): [oracle.avoider_counts(n, p, workers=workers) for n in sizes]
+        for p in gentree.TREE_PATTERNS
+    }
+
+    def cross_method(pattern: Pattern) -> Iterator[str]:
+        for n in sizes:
             row = brute[str(pattern)][n]
             tree_row = tuple(
                 gentree.level_counts(pattern, j, n - j)[-1] for j in range(n + 1)
@@ -240,93 +204,73 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, Any]]:
                 gf.avoider_count_from_series(n, j, pattern) for j in range(n + 1)
             )
             if not row == tree_row == gf_row:
-                ok = False
-                detail = (
-                    f"n={n}: brute={row} tree={tree_row} gf={gf_row}"
-                )
-                break
-        record(f"cross-method[{pattern}]", ok, detail)
+                yield f"n={n}: brute={row} tree={tree_row} gf={gf_row}"
 
-    ok, detail = True, f"n <= {max_n}"
-    for n in range(max_n + 1):
-        if brute["1234"][n] != brute["2143"][n]:
-            ok = False
-            detail = f"n={n}: 1234={brute['1234'][n]} 2143={brute['2143'][n]}"
-            break
-    record("refined-wilf", ok, detail)
+    def refined_wilf() -> Iterator[str]:
+        for n in sizes:
+            if brute["1234"][n] != brute["2143"][n]:
+                yield f"n={n}: 1234={brute['1234'][n]} 2143={brute['2143'][n]}"
 
-    ok, detail = True, f"n <= {max_n}"
-    for n in range(max_n + 1):
-        expected = oracle.egge_formula(n)
-        totals = {p: sum(brute[p][n]) for p in brute}
-        if any(t != expected for t in totals.values()):
-            ok = False
-            detail = f"n={n}: totals={totals} formula={expected}"
-            break
-    record("egge-total", ok, detail)
+    def egge_total() -> Iterator[str]:
+        for n in sizes:
+            expected = oracle.egge_formula(n)
+            totals = {p: sum(brute[p][n]) for p in brute}
+            if any(t != expected for t in totals.values()):
+                yield f"n={n}: totals={totals} formula={expected}"
 
-    ok, detail = True, f"n <= {max_n}"
-    for n in range(max_n + 1):
-        slices = {}
-        direct = {}
-        for pattern in (p1234, p2143):
-            row = brute[str(pattern)][n]
-            slices[str(pattern)] = sum(
-                row[j] for j in range(n + 1) if (n - j) % 2 == 0
-            )
-            direct[str(pattern)] = oracle.type_d_avoiders(n, pattern)
-        if not (
-            direct["1234"] == slices["1234"]
-            and direct["2143"] == slices["2143"]
-            and direct["1234"] == direct["2143"]
-        ):
-            ok = False
-            detail = f"n={n}: direct={direct} slices={slices}"
-            break
-    record("type-d-slice", ok, detail)
+    def type_d_slice() -> Iterator[str]:
+        for n in sizes:
+            slices = {
+                p: sum(rows[n][j] for j in range(n + 1) if (n - j) % 2 == 0)
+                for p, rows in brute.items()
+            }
+            direct = {
+                str(pattern): oracle.type_d_avoiders(n, pattern)
+                for pattern in gentree.TREE_PATTERNS
+            }
+            if direct != slices or direct["1234"] != direct["2143"]:
+                yield f"n={n}: direct={direct} slices={slices}"
 
-    ok, detail = True, "k<=5 q<=5 gamma1<=5 len<=4 at degree 10"
-    cache_a, cache_b = gf.SeriesCache(10), gf.SeriesCache(10)
-    for g1 in range(1, 6):
-        for gamma in gf.signatures(g1, 4):
-            for k in range(6):
-                for q in range(1, 6):
-                    if cache_a.series(p2143, k, q, gamma) != cache_b.series(
-                        p1234, k, q, gamma
-                    ):
-                        ok = False
-                        detail = f"k={k} q={q} gamma={gamma}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    record("series-grid", ok, detail)
-    return checks
+    def series_grid() -> Iterator[str]:
+        cache_a, cache_b = gf.SeriesCache(10), gf.SeriesCache(10)
+        for g1 in range(1, 6):
+            for gamma in gf.signatures(g1, 4):
+                for k in range(6):
+                    for q in range(1, 6):
+                        if cache_a.series(p2143, k, q, gamma) != cache_b.series(
+                            p1234, k, q, gamma
+                        ):
+                            yield f"k={k} q={q} gamma={gamma}"
+
+    scope = f"n <= {max_n}"
+    return [
+        *(
+            _check_row(f"cross-method[{p}]", scope, cross_method(p))
+            for p in gentree.TREE_PATTERNS
+        ),
+        _check_row("refined-wilf", scope, refined_wilf()),
+        _check_row("egge-total", scope, egge_total()),
+        _check_row("type-d-slice", scope, type_d_slice()),
+        _check_row(
+            "series-grid", "k<=5 q<=5 gamma1<=5 len<=4 at degree 10", series_grid()
+        ),
+    ]
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    workers = _resolve_workers(args)
+    workers = _resolve_workers(parser, args)
     started = time.perf_counter()
     checks = _verify_checks(args.max_n, workers)
-    manifest = RunManifest(
-        command=shlex.join(args.argv),
-        patterns=["1234", "2143"],
-        n_min=0,
-        n_max=args.max_n,
-        j=None,
-        methods=["brute", "tree", "gf", "formula"],
-        degree_bound=10,
-        workers=workers,
-        wall_time_s=round(time.perf_counter() - started, 6),
-        version=__version__,
-    )
-    doc = {"manifest": manifest.as_dict(), "rows": checks}
-    _emit(doc, ("name", "status", "detail"), args.format, args.output)
+    manifest = {
+        "patterns": ["1234", "2143"],
+        "n_max": args.max_n,
+        "methods": ["brute", "tree", "gf", "formula"],
+        "degree_bound": 10,
+        "workers": workers,
+    }
+    _emit(args, started, manifest, {"rows": checks}, ("name", "status", "detail"))
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
@@ -337,54 +281,45 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error("the two patterns must have equal length")
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    if args.max_n > args.guard and not args.allow_long:
+    if args.max_n > CONJECTURE_GUARD and not args.allow_long:
         embeddings = sum(2**n * math.factorial(n) for n in range(args.max_n + 1))
         parser.error(
-            f"--max-n {args.max_n} exceeds the cost guard {args.guard}: "
+            f"--max-n {args.max_n} exceeds the cost guard {CONJECTURE_GUARD}: "
             f"about {2 * embeddings} containment checks; "
             "pass --allow-long to run anyway"
         )
-    workers = _resolve_workers(args)
+    workers = _resolve_workers(parser, args)
     started = time.perf_counter()
     rows: list[dict[str, Any]] = []
-    all_equal = True
     for n in range(args.max_n + 1):
         row1 = oracle.avoider_counts(n, p1, workers=workers)
         row2 = oracle.avoider_counts(n, p2, workers=workers)
-        for j in range(n + 1):
-            equal = row1[j] == row2[j]
-            all_equal = all_equal and equal
-            rows.append(
-                {
-                    "n": n,
-                    "j": j,
-                    "count1": str(row1[j]),
-                    "count2": str(row2[j]),
-                    "equal": equal,
-                }
-            )
-    manifest = RunManifest(
-        command=shlex.join(args.argv),
-        patterns=[str(p1), str(p2)],
-        n_min=0,
-        n_max=args.max_n,
-        j=None,
-        methods=["brute"],
-        degree_bound=None,
-        workers=workers,
-        wall_time_s=round(time.perf_counter() - started, 6),
-        version=__version__,
-    )
-    doc = {"manifest": manifest.as_dict(), "rows": rows}
-    _emit(doc, ("n", "j", "count1", "count2", "equal"), args.format, args.output)
-    return 0 if all_equal else 1
+        rows.extend(
+            {
+                "n": n,
+                "j": j,
+                "count1": str(row1[j]),
+                "count2": str(row2[j]),
+                "equal": row1[j] == row2[j],
+            }
+            for j in range(n + 1)
+        )
+    manifest = {
+        "patterns": [str(p1), str(p2)],
+        "n_max": args.max_n,
+        "methods": ["brute"],
+        "workers": workers,
+    }
+    columns = ("n", "j", "count1", "count2", "equal")
+    _emit(args, started, manifest, {"rows": rows}, columns)
+    return 0 if all(row["equal"] for row in rows) else 1
 
 
 def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     pattern = _parse_pattern(parser, args.pattern)
     if args.format == "csv":
         parser.error("csv applies to the tabular subcommands; use table or json")
-    if str(pattern) not in _TREE_PATTERN_TEXTS:
+    if pattern not in gentree.TREE_PATTERNS:
         parser.error(f"series exist only for patterns 1234 and 2143, not {pattern}")
     try:
         gamma = gf.validate_signature(
@@ -397,6 +332,7 @@ def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     series = gf.f_series(pattern, args.k, args.q, gamma, args.degree)
+    table = [str(series)]
     cross_check: dict[str, Any] | None = None
     start = (gamma[0], gamma[0] + args.k, args.q)
     if args.degree <= 6 and start[1] <= 4 and args.q <= 3:
@@ -413,20 +349,16 @@ def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 "degrees_checked": depth,
                 "agrees": agree,
             }
-    manifest = RunManifest(
-        command=shlex.join(args.argv),
-        patterns=[str(pattern)],
-        n_min=0,
-        n_max=0,
-        j=None,
-        methods=["gf"],
-        degree_bound=args.degree,
-        workers=1,
-        wall_time_s=round(time.perf_counter() - started, 6),
-        version=__version__,
-    )
-    doc = {
-        "manifest": manifest.as_dict(),
+            table.append(
+                f"# path cross-check through degree {depth}: "
+                + ("ok" if agree else "MISMATCH")
+            )
+    manifest = {
+        "patterns": [str(pattern)],
+        "methods": ["gf"],
+        "degree_bound": args.degree,
+    }
+    body = {
         "k": args.k,
         "q": args.q,
         "gamma": list(gamma),
@@ -434,26 +366,8 @@ def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "series": str(series),
         "cross_check": cross_check,
     }
-    if args.format == "json":
-        text = dumps_payload(doc)
-    else:
-        lines = [str(series)]
-        if cross_check is not None:
-            status = "ok" if cross_check["agrees"] else "MISMATCH"
-            lines.append(
-                f"# path cross-check through degree "
-                f"{cross_check['degrees_checked']}: {status}"
-            )
-        lines.append("# manifest: " + json.dumps(doc["manifest"], sort_keys=True))
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    if cross_check is not None and not cross_check["agrees"]:
-        return 1
-    return 0
+    _emit(args, started, manifest, body, table=table)
+    return 1 if cross_check is not None and not cross_check["agrees"] else 0
 
 
 def _tree_as_dict(node: gentree.PermTreeNode, pattern: Pattern) -> dict[str, Any]:
@@ -469,33 +383,21 @@ def cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     pattern = _parse_pattern(parser, args.pattern)
     if args.format == "csv":
         parser.error("csv applies to the tabular subcommands; use table or json")
-    if str(pattern) not in _TREE_PATTERN_TEXTS:
+    if pattern not in gentree.TREE_PATTERNS:
         parser.error(f"trees exist only for patterns 1234 and 2143, not {pattern}")
     started = time.perf_counter()
     try:
         root = gentree.build_tree(pattern, args.j, args.depth)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError
-    manifest = RunManifest(
-        command=shlex.join(args.argv),
-        patterns=[str(pattern)],
-        n_min=args.j,
-        n_max=args.j + args.depth,
-        j=args.j,
-        methods=["tree"],
-        degree_bound=None,
-        workers=1,
-        wall_time_s=round(time.perf_counter() - started, 6),
-        version=__version__,
-    )
-    doc = {"manifest": manifest.as_dict(), "tree": _tree_as_dict(root, pattern)}
-    text = dumps_payload(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    manifest = {
+        "patterns": [str(pattern)],
+        "n_min": args.j,
+        "n_max": args.j + args.depth,
+        "j": args.j,
+        "methods": ["tree"],
+    }
+    _emit(args, started, manifest, {"tree": _tree_as_dict(root, pattern)})
     return 0
 
 
@@ -516,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             help="brute-force worker processes "
-            "(default: SIGPERM_THREADS or all cores)",
+            "(default: SIGPERM_THREADS or all usable cores)",
         )
 
     p_count = sub.add_parser("count", help="avoider counts for one size")
@@ -541,10 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--p2", required=True)
     p_conj.add_argument("--max-n", type=int, default=5)
     p_conj.add_argument(
-        "--allow-long", action="store_true", help="override the cost guard"
-    )
-    p_conj.add_argument(
-        "--guard", type=int, default=6, help="largest size run without --allow-long"
+        "--allow-long",
+        action="store_true",
+        help=f"run --max-n above {CONJECTURE_GUARD} despite the cost guard",
     )
     common(p_conj)
     p_conj.set_defaults(func=cmd_conjecture)

@@ -24,7 +24,6 @@ __all__ = [
     "SignedPermutation",
     "parse",
     "signed_permutations",
-    "even_signed_permutations",
 ]
 
 MAX_PATTERN_LENGTH = 9  # keeps the digit-string notation ("2143") unambiguous
@@ -227,10 +226,6 @@ class SignedPermutation:
         """
         return sum(1 for v in self.neg_images if v < 0)
 
-    def is_even(self) -> bool:
-        """Type-D membership: evenly many ``i > 0`` with ``w(i) < 0``."""
-        return (self.n - self.positive_entries()) % 2 == 0
-
     def occurrence_of(self, pattern: Pattern) -> Optional[Occurrence]:
         """A witness occurrence of ``pattern``, or ``None`` if avoided."""
         seq = self.full_images()
@@ -245,19 +240,6 @@ class SignedPermutation:
 
     def avoids(self, pattern: Pattern) -> bool:
         return not self.contains(pattern)
-
-    def reverse_complement(self) -> "SignedPermutation":
-        """Pull the reverse complement of the full image sequence back.
-
-        Antisymmetry makes every full image sequence its own reverse
-        complement (reversing indices negates them, complementing values
-        negates them, and the two negations cancel), so this is the identity
-        map on signed permutations; it is computed from the definition rather
-        than short-circuited.
-        """
-        seq = self.full_images()
-        flipped = tuple(-v for v in reversed(seq))
-        return SignedPermutation(flipped[: self.n])
 
     def insert(self, site: int, gap: int) -> "SignedPermutation":
         """Insert a new point at the given site and gap of the negative half.
@@ -361,13 +343,6 @@ def signed_permutations(n: int) -> Iterator[SignedPermutation]:
         raise ValueError("size must be nonnegative")
     for word in _negative_halves(n):
         yield SignedPermutation(word)
-
-
-def even_signed_permutations(n: int) -> Iterator[SignedPermutation]:
-    """The type-D subgroup: evenly many ``i > 0`` with ``w(i) < 0``."""
-    for w in signed_permutations(n):
-        if w.is_even():
-            yield w
 
 
 def contains_naive(w: SignedPermutation, pattern: Pattern) -> bool:

@@ -52,6 +52,11 @@ PATTERN_2143 = Pattern((2, 1, 4, 3))
 PATTERN_1234 = Pattern((1, 2, 3, 4))
 TREE_PATTERNS = (PATTERN_1234, PATTERN_2143)
 
+# The explicit tree is for desk-scale inspection only; the label dynamic
+# program (level_counts) has no cap.
+MAX_TREE_DEPTH = 6
+MAX_TREE_J = 4
+
 
 def _require_tree_pattern(pattern: Pattern) -> bool:
     """Return True for 2143, False for 1234, reject anything else."""
@@ -209,26 +214,18 @@ class PermTreeNode:
     children: list["PermTreeNode"] = field(default_factory=list)
 
 
-def build_tree(
-    pattern: Pattern,
-    j: int,
-    depth: int,
-    *,
-    max_depth: int = 6,
-    max_j: int = 4,
-) -> PermTreeNode:
+def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
     """The explicit tree down to ``depth``; level ``d`` holds every avoider
     of size ``j + d`` with statistic ``j``, each exactly once.
 
-    Guarded by ``max_depth``/``max_j`` because the explicit tree is only for
-    desk-scale inspection; the label dynamic program has no such cap.
+    Capped at ``MAX_TREE_DEPTH`` and ``MAX_TREE_J``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if depth > max_depth or j > max_j:
+    if depth > MAX_TREE_DEPTH or j > MAX_TREE_J:
         raise ValueError(
-            f"explicit tree capped at depth {max_depth}, statistic {max_j}; "
-            "raise the caps explicitly for a larger build"
+            f"explicit tree capped at depth {MAX_TREE_DEPTH}, statistic "
+            f"{MAX_TREE_J}; level_counts gives level sizes beyond the cap"
         )
     root = PermTreeNode(tree_root(pattern, j))
     frontier = [root]

@@ -8,15 +8,14 @@ All counts are exact Python integers.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
 from .core import Pattern, find_occurrence_positions, _negative_halves
 
 __all__ = [
-    "binomial",
     "catalan",
     "egge_formula",
     "classical_1234_formula",
@@ -25,15 +24,16 @@ __all__ = [
     "total_avoiders",
     "type_d_avoiders",
     "classical_avoiders",
-    "CountTable",
+    "usable_cpus",
 ]
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; 0 when ``k > n``."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return comb(n, k)
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def catalan(j: int) -> int:
@@ -104,14 +104,16 @@ def avoider_counts(
     ``pattern`` with exactly ``j`` positive indices mapped to positive images.
     With ``workers > 1`` the ``2n`` blocks fixing the first image are counted
     in separate processes and summed (order-independent, so the result is
-    identical to the serial scan).
+    identical to the serial scan).  The pool holds at most
+    ``min(workers, 2n, usable_cpus())`` processes.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if workers is not None and workers > 1 and n >= 2:
         firsts = [v for v in range(-n, n + 1) if v != 0]
         counts = [0] * (n + 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_size = min(workers, len(firsts), usable_cpus())
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for block in pool.map(
                 _count_row,
                 itertools.repeat(n),
@@ -178,17 +180,3 @@ def classical_avoiders(n: int, pattern: Pattern) -> int:
         raise ValueError("size must be nonnegative")
     return _classical_row(n, pattern.values)
 
-
-@dataclass(frozen=True)
-class CountTable:
-    """Avoider counts per (size, statistic) produced by one counting method."""
-
-    pattern: Pattern
-    method: str
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def row(self, n: int) -> tuple[int, ...]:
-        return tuple(self.entries[(n, j)] for j in range(n + 1))
-
-    def total(self, n: int) -> int:
-        return sum(self.row(n))

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import sigperm.cli
 import sigperm.gentree
+import sigperm.oracle
 from sigperm.cli import dumps_payload, main
 from sigperm.gentree import TreeLabel
 
@@ -95,6 +97,14 @@ class TestCount:
         doc = json.loads(target.read_text())
         assert "manifest" in doc and "rows" in doc
 
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "row.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "2", "--pattern", "1234", "--output", str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(target) in err
+
     def test_deterministic_across_workers(self, capsys):
         _, doc1 = run_json(
             capsys, "count", "--n", "5", "--pattern", "2143", "--threads", "1"
@@ -110,6 +120,18 @@ class TestCount:
         monkeypatch.setenv("SIGPERM_THREADS", "3")
         _, doc = run_json(capsys, "count", "--n", "2", "--pattern", "1234")
         assert doc["manifest"]["workers"] == 3
+
+    def test_invalid_threads_env_exits_two(self, monkeypatch):
+        monkeypatch.setenv("SIGPERM_THREADS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "2", "--pattern", "1234"])
+        assert exc.value.code == 2
+
+    def test_default_workers_are_usable_cpus(self, capsys, monkeypatch):
+        monkeypatch.delenv("SIGPERM_THREADS", raising=False)
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 1)
+        _, doc = run_json(capsys, "count", "--n", "2", "--pattern", "1234")
+        assert doc["manifest"]["workers"] == 1
 
 
 class TestUsageErrors:
@@ -194,11 +216,15 @@ class TestConjecture:
         assert unequal[0]["n"] == 2 and unequal[0]["j"] == 2
         assert (unequal[0]["count1"], unequal[0]["count2"]) == ("1", "2")
 
-    def test_allow_long_overrides_guard(self, capsys):
+    def test_allow_long_overrides_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(sigperm.cli, "CONJECTURE_GUARD", 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "3"])
+        assert exc.value.code == 2
         code, doc = run_json(
             capsys,
             "conjecture", "--p1", "12345", "--p2", "21354",
-            "--max-n", "3", "--guard", "2", "--allow-long",
+            "--max-n", "3", "--allow-long",
         )
         assert code == 0
         assert all(row["equal"] for row in doc["rows"])

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import sigperm.gentree
 from sigperm.core import Pattern, parse, signed_permutations
 from sigperm.gentree import (
     TreeLabel,
@@ -239,11 +240,12 @@ class TestTreeIsomorphism:
 
 class TestExplicitTree:
     @pytest.mark.parametrize("pattern", BOTH)
-    def test_levels_are_avoider_sets(self, pattern):
+    def test_levels_are_avoider_sets(self, pattern, monkeypatch):
         # every avoider appears exactly once, at the level matching its size
+        monkeypatch.setattr(sigperm.gentree, "MAX_TREE_J", 5)
         for n in range(6):
             for j in range(n + 1):
-                frontier = [build_tree(pattern, j, n - j, max_j=5)]
+                frontier = [build_tree(pattern, j, n - j)]
                 for _ in range(n - j):
                     frontier = [c for node in frontier for c in node.children]
                 perms = [node.perm for node in frontier]
@@ -262,12 +264,13 @@ class TestExplicitTree:
         )
         assert all(count == 1 for count in seen.values())
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         with pytest.raises(ValueError):
             build_tree(P2143, 5, 1)
         with pytest.raises(ValueError):
             build_tree(P2143, 0, 7)
-        build_tree(P2143, 5, 1, max_j=5)  # caps are configurable
+        monkeypatch.setattr(sigperm.gentree, "MAX_TREE_J", 5)
+        build_tree(P2143, 5, 1)  # the cap is read at call time
 
 
 class TestLevelCounts:

@@ -2,11 +2,10 @@
 
 import pytest
 
+import sigperm.oracle
 from sigperm.core import Pattern
 from sigperm.oracle import (
-    CountTable,
     avoider_counts,
-    binomial,
     catalan,
     classical_1234_formula,
     classical_avoiders,
@@ -29,13 +28,6 @@ class TestExactArithmetic:
         cats = [catalan(j) for j in range(12)]
         for m in range(11):
             assert cats[m + 1] == sum(cats[i] * cats[m - i] for i in range(m + 1))
-
-    def test_binomial(self):
-        assert binomial(4, 2) == 6
-        assert binomial(5, 0) == 1
-        assert binomial(3, 7) == 0
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
     def test_egge_values(self):
         assert [egge_formula(n) for n in range(7)] == [1, 2, 7, 33, 183, 1118, 7281]
@@ -121,12 +113,29 @@ class TestParallel:
         parallel = avoider_counts(5, P2143, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(1000, 64, 6), (1000, 3, 3), (2, 64, 2)],
+    )
+    def test_pool_capped_by_blocks_and_cpus(self, monkeypatch, workers, cpus, expected):
+        # a stand-in executor: records the pool size, runs the blocks inline
+        sizes = []
 
-class TestCountTable:
-    def test_row_and_total(self):
-        table = CountTable(P1234, "brute")
-        for n in range(3):
-            for j, c in enumerate(avoider_counts(n, P1234)):
-                table.entries[(n, j)] = c
-        assert table.row(2) == (2, 4, 1)
-        assert table.total(2) == 7
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: cpus)
+        assert avoider_counts(3, P2143, workers=workers) == avoider_counts(3, P2143)
+        assert sizes == [expected]
+
