@@ -63,12 +63,18 @@ for pattern in (P2143, P1234):
     assert counted == list(series.coeffs)
 print()
 
-print("Avoider counts are single coefficients, summed over signatures:")
+print("Avoider counts are single coefficients, summed over signatures;")
+print("the library sums the signatures inside the recursion instead:")
 n = 5
 for j in range(n + 1):
-    sigs = signatures(j + 1, n - j + 1)
-    extracted = avoider_count_from_series(n, j, P2143)
+    r = n - j + 1
+    sigs = signatures(j + 1, r)
+    cache = SeriesCache(r)
+    extracted = sum(
+        cache.series(P2143, 0, j + 1, g).coefficient(r - len(g)) for g in sigs
+    )
+    summed = avoider_count_from_series(n, j, P2143)
     brute = avoider_counts(n, P2143)[j]
     print(f"  n={n}, j={j}: {len(sigs):>3} signatures -> {extracted:>4} "
-          f"(exhaustive search: {brute})")
-    assert extracted == brute
+          f"(summed series: {summed}, exhaustive search: {brute})")
+    assert extracted == summed == brute

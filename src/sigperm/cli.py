@@ -29,7 +29,7 @@ from .core import Pattern
 
 __all__ = ["main", "build_parser"]
 
-CONJECTURE_GUARD = 6  # largest conjecture --max-n run without --allow-long
+BRUTE_GUARD = 6  # largest size a brute-force scan runs without --allow-long
 
 
 def dumps_payload(doc: dict[str, Any]) -> str:
@@ -98,6 +98,25 @@ def _emit(
         sys.exit(2)
 
 
+def _guard_cost(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    option: str,
+    sizes: Sequence[int],
+    patterns: int,
+) -> None:
+    """Refuse a brute-force scan past ``BRUTE_GUARD`` unless ``--allow-long``;
+    the estimate is one containment check per pattern and signed permutation."""
+    size = max(sizes)
+    if size > BRUTE_GUARD and not args.allow_long:
+        checks = patterns * sum(2**n * math.factorial(n) for n in sizes)
+        parser.error(
+            f"{option} {size} exceeds the cost guard {BRUTE_GUARD}: "
+            f"about {checks} containment checks; "
+            "pass --allow-long to run anyway"
+        )
+
+
 def _resolve_workers(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.threads is not None:
         return max(1, args.threads)
@@ -145,6 +164,8 @@ def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             )
     if args.j is not None and not 0 <= args.j <= args.n:
         parser.error(f"--j {args.j} outside 0..{args.n}")
+    if method == "brute":
+        _guard_cost(parser, args, "--n", [args.n], 1)
 
     workers = _resolve_workers(parser, args)
     started = time.perf_counter()
@@ -281,13 +302,7 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error("the two patterns must have equal length")
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
-    if args.max_n > CONJECTURE_GUARD and not args.allow_long:
-        embeddings = sum(2**n * math.factorial(n) for n in range(args.max_n + 1))
-        parser.error(
-            f"--max-n {args.max_n} exceeds the cost guard {CONJECTURE_GUARD}: "
-            f"about {2 * embeddings} containment checks; "
-            "pass --allow-long to run anyway"
-        )
+    _guard_cost(parser, args, "--max-n", range(args.max_n + 1), 2)
     workers = _resolve_workers(parser, args)
     started = time.perf_counter()
     rows: list[dict[str, Any]] = []
@@ -428,6 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--method", choices=("brute", "tree", "gf", "formula"), default="brute"
     )
+    p_count.add_argument(
+        "--allow-long",
+        action="store_true",
+        help=f"run a brute --n above {BRUTE_GUARD} despite the cost guard",
+    )
     common(p_count)
     p_count.set_defaults(func=cmd_count)
 
@@ -445,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument(
         "--allow-long",
         action="store_true",
-        help=f"run --max-n above {CONJECTURE_GUARD} despite the cost guard",
+        help=f"run --max-n above {BRUTE_GUARD} despite the cost guard",
     )
     common(p_conj)
     p_conj.set_defaults(func=cmd_conjecture)

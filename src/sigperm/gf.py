@@ -13,18 +13,35 @@ at ``(gamma[0], gamma[0] + k, q)`` and realize signature ``gamma``, weighted
 by ``t ** (points - len(gamma))``.  It satisfies a short recursion in
 ``(len(gamma), q, k)``, computed here over truncated integer series, and is
 the same series for both patterns - which is what makes the two avoider
-counts agree.  Avoider counts drop out as single coefficients:
+counts agree.  Avoider counts are sums of single coefficients:
 ``|B_n^j| = sum over gamma starting at j+1 of [t^(n-j+1-|gamma|)]
 F(0, j+1, gamma)``.
 
-Series arithmetic never leaves truncated integer polynomials; the geometric
-series ``s = 1 + t + t^2 + ...`` enters only as the prefix-sum operator.
+That sum runs over a Catalan-like number of signatures, so the counts are
+read instead from the signature-summed series
+``H(k, q, g1) = sum over gamma starting at g1 of t^len(gamma) F(k, q, gamma)``.
+Summing F's rules over the signature tail gives, with ``s = 1/(1-t)`` and
+``T(c) = t * sum_{g2=2..g1+1} H(g1 + c - g2 + k, q, g2)``:
+
+- ``H(k, 0, g1) = 0``;
+- 1234 at ``q >= 2``: ``H(k, q, g1) = H(k, q-1, g1) + T(1)``;
+- 2143, and 1234 at ``q == 1``, with ``k == 0``:
+  ``H(0, q, g1) = [q == 1] t + H(0, q-1, g1) + T(1)``;
+- the same with ``k > 0``: ``H(k, q, g1) = s * (H(k-1, q, g1) + T(1) - T(0))``.
+
+The length-1 signature contributes ``t * s^k`` at every ``q >= 1``, which is
+why it cancels from the first and last rules and survives only as the
+``[q == 1] t``.  Then ``|B_n^j| = [t^(n-j+1)] H(0, j+1, j+1)``, evaluated in
+time polynomial in ``n`` by :func:`avoider_count_from_series`.
+
+Series arithmetic never leaves truncated integer polynomials.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Counter as CounterT, Iterable, Iterator
 
 from collections import Counter
@@ -76,13 +93,13 @@ class TruncatedSeries:
 
     @classmethod
     def geometric_power(cls, k: int, degree_bound: int) -> "TruncatedSeries":
-        """``s^k`` truncated: ``k`` prefix-sum passes over 1."""
+        """``s^k`` truncated: coefficient ``d`` is ``C(d + k - 1, d)``, what
+        ``k`` prefix-sum passes over 1 give."""
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        out = cls.one(degree_bound)
-        for _ in range(k):
-            out = out.prefix_sums()
-        return out
+        if k == 0:
+            return cls.one(degree_bound)
+        return cls(tuple(comb(d + k - 1, d) for d in range(degree_bound + 1)))
 
     def _match(self, other: "TruncatedSeries") -> None:
         if len(self.coeffs) != len(other.coeffs):
@@ -193,51 +210,50 @@ class SeriesCache:
         """``F(pattern, k, q, gamma)`` truncated at the session bound."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        g = validate_signature(gamma)
-        key = _pattern_key(pattern)
-        # recursion depth shrinks lexicographically in (len, q, k); the
-        # stated budget bounds the call stack in debug runs
-        budget = len(g) * (max(q, 0) + k + max(g)) + 1
-        return self._f(key, k, q, g, budget)
+        return self._f(_pattern_key(pattern), k, q, validate_signature(gamma))
 
-    def _f(
-        self,
-        key: str,
-        k: int,
-        q: int,
-        gamma: tuple[int, ...],
-        budget: int,
-    ) -> TruncatedSeries:
-        assert budget >= 0, "recursion exceeded the lexicographic depth bound"
-        if q <= 0 or not gamma:
+    def _f(self, key: str, k: int, q: int, gamma: tuple[int, ...]) -> TruncatedSeries:
+        """Recurse on the signature tail only; the chains in ``q`` and ``k``
+        run as loops, so the stack depth is bounded by ``len(gamma)``."""
+        if q <= 0:
             return self._zero
         if key == _KEY_1234 and q == 1:
             key = _KEY_2143  # the two succession rules coincide at layer 1
-        memo_key = (key, k, q, gamma)
-        hit = self._memo.get(memo_key)
+        hit = self._memo.get((key, k, q, gamma))
         if hit is not None:
             return hit
         if len(gamma) == 1:
             val = TruncatedSeries.geometric_power(k, self.degree_bound)
-        else:
-            g1, g2 = gamma[0], gamma[1]
-            rest = gamma[1:]
-            if key == _KEY_2143:
-                if k == 0:
-                    val = self._f(key, 0, q - 1, gamma, budget - 1) + self._f(
-                        key, g1 + 1 - g2, q, rest, budget - 1
-                    )
-                else:
-                    val = (
-                        self._f(key, k - 1, q, gamma, budget - 1)
-                        + self._f(key, g1 + 1 - g2 + k, q, rest, budget - 1)
-                        - self._f(key, g1 - g2 + k, q, rest, budget - 1)
+            self._memo[(key, k, q, gamma)] = val
+            return val
+        g1, g2 = gamma[0], gamma[1]
+        rest = gamma[1:]
+        if key == _KEY_2143 and k > 0:
+            # F(k) = s * (F(k-1) + F(g1+1-g2+k, rest) - F(g1-g2+k, rest))
+            val = self._f(key, 0, q, gamma)
+            for step in range(1, k + 1):
+                memo_key = (key, step, q, gamma)
+                hit = self._memo.get(memo_key)
+                if hit is None:
+                    hit = (
+                        val
+                        + self._f(key, g1 + 1 - g2 + step, q, rest)
+                        - self._f(key, g1 - g2 + step, q, rest)
                     ).prefix_sums()
-            else:
-                val = self._f(key, k, q - 1, gamma, budget - 1) + self._f(
-                    key, g1 + 1 - g2 + k, q, rest, budget - 1
-                )
-        self._memo[memo_key] = val
+                    self._memo[memo_key] = hit
+                val = hit
+            return val
+        # F(q) = F(q-1) + F(g1+1-g2+k, q, rest), from layer 0 for 2143 and
+        # from the shared layer 1 for 1234
+        low = 1 if key == _KEY_1234 else 0
+        val = self._f(_KEY_2143, k, low, gamma)
+        for layer in range(low + 1, q + 1):
+            memo_key = (key, k, layer, gamma)
+            hit = self._memo.get(memo_key)
+            if hit is None:
+                hit = val + self._f(key, g1 + 1 - g2 + k, layer, rest)
+                self._memo[memo_key] = hit
+            val = hit
         return val
 
 
@@ -249,22 +265,52 @@ def f_series(
 
 
 def avoider_count_from_series(n: int, j: int, pattern: Pattern) -> int:
-    """``|B_n^j(pattern)|`` extracted from coefficients of ``F``.
+    """``|B_n^j(pattern)|`` as the coefficient ``[t^(n-j+1)] H(0, j+1, j+1)``.
 
     Paths of ``n - j + 1`` points from the tree root ``(j+1, j+1, j+1)``
-    correspond to the avoiders; grouping them by signature and reading one
-    coefficient per signature gives the count.  Signatures longer than
-    ``n - j + 1`` would need a negative degree, so they contribute nothing.
+    correspond to the avoiders, and ``H`` (module docstring) sums their
+    series over every signature.  Coefficient ``d`` of ``H(k, q, g1)`` needs
+    coefficient ``d`` at the same ``g1`` and a lower ``q`` or ``k``, and
+    coefficient ``d - 1`` of the tail terms, whose ``k + g1`` is at most one
+    higher.  So the coefficients are built one degree at a time over the
+    states with ``k + g1 + d <= n + 2``, without recursion; each tail sum
+    ``T`` is a running sum along a diagonal ``k + g1 = const`` of the
+    previous degree, so the cost is ``O(n^2 (j + 1) (n - j + 1))`` integer
+    additions.
     """
     if not 0 <= j <= n:
         raise ValueError(f"statistic {j} outside 0..{n}")
-    degree_bound = n - j + 1
-    cache = SeriesCache(degree_bound)
-    total = 0
-    for g in signatures(j + 1, n - j + 1):
-        d = n - j + 1 - len(g)
-        total += cache.series(pattern, 0, j + 1, g).coefficient(d)
-    return total
+    rule_2143 = _pattern_key(pattern) == _KEY_2143
+    root = j + 1
+    top = n + 2
+    # cur[(k, q, g1)] = [t^d] H(k, q, g1);
+    # tails[(k + g1, q, m)] = sum over g2 = 2..m of cur[(k + g1 - g2, q, g2)]
+    prev: dict[tuple[int, int, int], int] = {}
+    prev_tails: dict[tuple[int, int, int], int] = {}
+    for d in range(1, n - j + 2):
+        cur: dict[tuple[int, int, int], int] = {}
+        tails: dict[tuple[int, int, int], int] = {}
+        for q in range(1, root + 1):
+            as_2143 = rule_2143 or q == 1
+            for diag in range(1, top - d + 1):
+                acc = 0
+                for g1 in range(1, diag + 1):
+                    k = diag - g1
+                    tail = prev_tails.get((diag + 1, q, g1 + 1), 0)
+                    if not as_2143:
+                        val = cur.get((k, q - 1, g1), 0) + tail
+                    elif k == 0:
+                        val = int(d == 1 and q == 1) + cur.get((0, q - 1, g1), 0) + tail
+                    else:
+                        # s * X: coefficient d is coefficient d - 1 plus X's
+                        tail -= prev_tails.get((diag, q, g1 + 1), 0)
+                        val = prev.get((k, q, g1), 0) + cur[(k - 1, q, g1)] + tail
+                    cur[(k, q, g1)] = val
+                    if g1 >= 2:
+                        acc += val
+                    tails[(diag, q, g1)] = acc
+        prev, prev_tails = cur, tails
+    return prev[(0, root, root)]
 
 
 # ---------------------------------------------------------------------------

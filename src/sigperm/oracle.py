@@ -42,7 +42,8 @@ def catalan(j: int) -> int:
         raise ValueError("catalan argument must be nonnegative")
     num = comb(2 * j, j)
     q, r = divmod(num, j + 1)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"C({2 * j}, {j}) is not divisible by {j + 1}")
     return q
 
 
@@ -70,7 +71,8 @@ def classical_1234_formula(n: int) -> int:
         for j in range(n + 1)
     )
     q, r = divmod(total, (n + 1) ** 2 * (n + 2))
-    assert r == 0, "closed form must divide exactly"
+    if r:
+        raise ArithmeticError(f"closed form for n={n} does not divide exactly")
     return q
 
 

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, manifests, determinism."""
 
 import json
+from math import comb
 
 import pytest
 
@@ -127,6 +128,24 @@ class TestCount:
             main(["count", "--n", "2", "--pattern", "1234"])
         assert exc.value.code == 2
 
+    def test_brute_guard_and_allow_long(self, capsys, monkeypatch):
+        monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "3", "--pattern", "1234"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--n 3 exceeds the cost guard 2: about 48 containment checks" in err
+        code, doc = run_json(
+            capsys, "count", "--n", "3", "--pattern", "1234", "--allow-long"
+        )
+        assert code == 0
+        assert doc["rows"][-1]["count"] == "33"
+        # the guard is on the exhaustive scan only
+        code, _ = run_json(
+            capsys, "count", "--n", "3", "--pattern", "1234", "--method", "tree"
+        )
+        assert code == 0
+
     def test_default_workers_are_usable_cpus(self, capsys, monkeypatch):
         monkeypatch.delenv("SIGPERM_THREADS", raising=False)
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 1)
@@ -149,6 +168,8 @@ class TestUsageErrors:
             ("tree", "--pattern", "2143", "--j", "9", "--depth", "1"),
             ("conjecture", "--p1", "123", "--p2", "1234"),
             ("conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "7"),
+            ("count", "--n", "7", "--pattern", "1234"),
+            ("count", "--n", "10", "--pattern", "2143", "--method", "brute"),
         ],
     )
     def test_exit_code_two(self, argv):
@@ -217,7 +238,7 @@ class TestConjecture:
         assert (unequal[0]["count1"], unequal[0]["count2"]) == ("1", "2")
 
     def test_allow_long_overrides_guard(self, capsys, monkeypatch):
-        monkeypatch.setattr(sigperm.cli, "CONJECTURE_GUARD", 2)
+        monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)
         with pytest.raises(SystemExit) as exc:
             main(["conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "3"])
         assert exc.value.code == 2
@@ -262,6 +283,26 @@ class TestGf:
             "--gamma", "2,3", "--degree", "6",
         )
         assert doc1["coefficients"] == doc2["coefficients"]
+
+    @pytest.mark.parametrize("pattern", ["1234", "2143"])
+    @pytest.mark.parametrize("k, q", [(3000, 2), (0, 3000)])
+    def test_long_chains_need_no_deep_stack(self, capsys, pattern, k, q):
+        # F(k, q, (1, 2)) = q s^k + k t s^(k+1), by induction from the rules
+        # F(0, q) = F(0, q-1) + 1 and F(k) = s F(k-1) + t s^(k+1)
+        def s_power(e, d):  # [t^d] s^e
+            return comb(d + e - 1, d) if e else int(d == 0)
+
+        code, doc = run_json(
+            capsys,
+            "gf", "--pattern", pattern, "--k", str(k), "--q", str(q),
+            "--gamma", "1,2", "--degree", "3",
+        )
+        assert code == 0
+        expected = [
+            q * s_power(k, d) + (k * s_power(k + 1, d - 1) if d else 0)
+            for d in range(4)
+        ]
+        assert doc["coefficients"] == [str(c) for c in expected]
 
 
 class TestTree:

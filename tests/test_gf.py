@@ -1,12 +1,13 @@
 """Truncated series, signatures, lattice paths, and the path series."""
 
 import itertools
+import sys
 from math import comb
 
 import pytest
 
 from sigperm.core import Pattern
-from sigperm.gentree import TreeLabel
+from sigperm.gentree import TreeLabel, level_counts
 from sigperm.gf import (
     LatticePath,
     SeriesCache,
@@ -21,7 +22,7 @@ from sigperm.gf import (
     signatures,
     validate_signature,
 )
-from sigperm.oracle import avoider_counts
+from sigperm.oracle import avoider_counts, classical_1234_formula, egge_formula
 
 P1234 = Pattern.parse("1234")
 P2143 = Pattern.parse("2143")
@@ -40,6 +41,17 @@ PATH_1234 = [
 ]
 PATH_1234_FLAGS = "RRRR.....R."
 SHARED_SIGNATURE = (4, 3, 4, 2, 2, 2)
+
+
+def per_signature_count(n, j, pattern):
+    """The reference for the summed series: ``|B_n^j|`` as one coefficient
+    of ``F`` per signature starting at ``j + 1`` (exponential in ``n``)."""
+    r = n - j + 1
+    cache = SeriesCache(r)
+    return sum(
+        cache.series(pattern, 0, j + 1, g).coefficient(r - len(g))
+        for g in signatures(j + 1, r)
+    )
 
 
 class TestTruncatedSeries:
@@ -157,6 +169,35 @@ class TestCountExtraction:
             row = avoider_counts(n, pattern)
             for j in range(n + 1):
                 assert avoider_count_from_series(n, j, pattern) == row[j]
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_matches_per_signature_sum(self, pattern):
+        for n in range(9):
+            for j in range(n + 1):
+                assert avoider_count_from_series(n, j, pattern) == per_signature_count(
+                    n, j, pattern
+                ), (n, j)
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_matches_label_dp_row(self, pattern):
+        n = 12
+        for j in range(n + 1):
+            assert (
+                avoider_count_from_series(n, j, pattern)
+                == level_counts(pattern, j, n - j)[-1]
+            ), j
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_totals_match_egge(self, pattern):
+        for n in range(17):
+            row = [avoider_count_from_series(n, j, pattern) for j in range(n + 1)]
+            assert sum(row) == egge_formula(n), n
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_size_thirty_at_default_recursion_limit(self, pattern):
+        limit = sys.getrecursionlimit()
+        assert avoider_count_from_series(30, 0, pattern) == classical_1234_formula(30)
+        assert sys.getrecursionlimit() == limit
 
     def test_longer_signatures_contribute_nothing(self):
         # the extraction truncates signature length at n - j + 1: a longer

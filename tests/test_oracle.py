@@ -29,6 +29,14 @@ class TestExactArithmetic:
         for m in range(11):
             assert cats[m + 1] == sum(cats[i] * cats[m - i] for i in range(m + 1))
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # the exact-division checks must hold under python -O too
+        monkeypatch.setattr(sigperm.oracle, "comb", lambda a, b: 1)
+        with pytest.raises(ArithmeticError):
+            catalan(2)
+        with pytest.raises(ArithmeticError):
+            classical_1234_formula(2)
+
     def test_egge_values(self):
         assert [egge_formula(n) for n in range(7)] == [1, 2, 7, 33, 183, 1118, 7281]
 
