@@ -103,13 +103,14 @@ def _guard_cost(
     args: argparse.Namespace,
     option: str,
     sizes: Sequence[int],
-    patterns: int,
+    scans: int,
 ) -> None:
     """Refuse a brute-force scan past ``BRUTE_GUARD`` unless ``--allow-long``;
-    the estimate is one containment check per pattern and signed permutation."""
+    the estimate is one containment check per signed permutation of each
+    size, for each of ``scans`` whole scans."""
     size = max(sizes)
     if size > BRUTE_GUARD and not args.allow_long:
-        checks = patterns * sum(2**n * math.factorial(n) for n in sizes)
+        checks = scans * sum(2**n * math.factorial(n) for n in sizes)
         parser.error(
             f"{option} {size} exceeds the cost guard {BRUTE_GUARD}: "
             f"about {checks} containment checks; "
@@ -281,6 +282,8 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
+    # two patterns, each scanned whole and again for its type-D half
+    _guard_cost(parser, args, "--max-n", range(args.max_n + 1), 3)
     workers = _resolve_workers(parser, args)
     started = time.perf_counter()
     checks = _verify_checks(args.max_n, workers)
@@ -342,6 +345,13 @@ def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         parser.error(f"bad --gamma {args.gamma!r}: {exc}")
+    if len(gamma) > gf.MAX_SIGNATURE_LENGTH:
+        print(
+            f"sigperm: --gamma has {len(gamma)} entries, more than the "
+            f"bound {gf.MAX_SIGNATURE_LENGTH}",
+            file=sys.stderr,
+        )
+        sys.exit(2)
     if args.k < 0 or args.q < 1 or args.degree < 0:
         parser.error("need --k >= 0, --q >= 1, --degree >= 0")
 
@@ -436,6 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: SIGPERM_THREADS or all usable cores)",
         )
 
+    def allow_long(p: argparse.ArgumentParser, option: str) -> None:
+        p.add_argument(
+            "--allow-long",
+            action="store_true",
+            help=f"run a brute-force {option} above {BRUTE_GUARD} "
+            "despite the cost guard",
+        )
+
     p_count = sub.add_parser("count", help="avoider counts for one size")
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--j", type=int, help="fix the statistic; omit for the full row")
@@ -443,16 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--method", choices=("brute", "tree", "gf", "formula"), default="brute"
     )
-    p_count.add_argument(
-        "--allow-long",
-        action="store_true",
-        help=f"run a brute --n above {BRUTE_GUARD} despite the cost guard",
-    )
+    allow_long(p_count, "--n")
     common(p_count)
     p_count.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="cross-check all counting routes")
     p_verify.add_argument("--max-n", type=int, default=5)
+    allow_long(p_verify, "--max-n")
     common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -462,11 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--p1", required=True)
     p_conj.add_argument("--p2", required=True)
     p_conj.add_argument("--max-n", type=int, default=5)
-    p_conj.add_argument(
-        "--allow-long",
-        action="store_true",
-        help=f"run --max-n above {BRUTE_GUARD} despite the cost guard",
-    )
+    allow_long(p_conj, "--max-n")
     common(p_conj)
     p_conj.set_defaults(func=cmd_conjecture)
 

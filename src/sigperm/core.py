@@ -87,24 +87,27 @@ class Occurrence:
     values: tuple[int, ...]
 
 
-def _containment_plan(pattern: Pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-depth bounds for the backtracking search.
+def _containment_plan(
+    pattern: Pattern, order: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-depth bounds for a backtracking search that matches the pattern
+    indices in ``order``.
 
-    When a prefix of the pattern has been matched, order isomorphism pins the
-    next value between two already-chosen ones: the match of the largest
-    smaller pattern entry and of the smallest larger one.  Returns those two
-    prefix positions per depth (-1 when absent).
+    When some entries of the pattern have been matched, order isomorphism
+    pins the next value between two already-chosen ones: the match of the
+    largest smaller pattern entry and of the smallest larger one.  Returns
+    the pattern indices of those two entries per depth (-1 when absent).
     """
     pat = pattern.values
     lo: list[int] = []
     hi: list[int] = []
-    for d, pd in enumerate(pat):
+    for d, i in enumerate(order):
         lo_t, lo_v = -1, 0
         hi_t, hi_v = -1, len(pat) + 1
-        for t in range(d):
-            if lo_v < pat[t] < pd:
+        for t in order[:d]:
+            if lo_v < pat[t] < pat[i]:
                 lo_t, lo_v = t, pat[t]
-            if pd < pat[t] < hi_v:
+            if pat[i] < pat[t] < hi_v:
                 hi_t, hi_v = t, pat[t]
         lo.append(lo_t)
         hi.append(hi_t)
@@ -117,7 +120,9 @@ _PLAN_CACHE: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 def _plan_for(pattern: Pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
     plan = _PLAN_CACHE.get(pattern.values)
     if plan is None:
-        plan = _PLAN_CACHE[pattern.values] = _containment_plan(pattern)
+        plan = _PLAN_CACHE[pattern.values] = _containment_plan(
+            pattern, range(len(pattern))
+        )
     return plan
 
 
@@ -157,6 +162,96 @@ def find_occurrence_positions(
             if d == k:
                 return pos
         p += 1
+
+
+def _pinned_plans(pattern: Pattern) -> tuple[tuple, ...]:
+    """Per pattern index ``t``: what matching entry ``t`` first needs.
+
+    Each plan holds ``t``; how many other entries lie left-below,
+    left-above, right-below and right-above it; and the search order,
+    ``t`` and then the other indices left to right, with its per-depth
+    bounds.
+    """
+    pat = pattern.values
+    plans = []
+    for t, pt in enumerate(pat):
+        quadrants = (
+            sum(1 for v in pat[:t] if v < pt),
+            sum(1 for v in pat[:t] if v > pt),
+            sum(1 for v in pat[t + 1 :] if v < pt),
+            sum(1 for v in pat[t + 1 :] if v > pt),
+        )
+        order = (t, *(i for i in range(len(pat)) if i != t))
+        plans.append((t, quadrants, order, *_containment_plan(pattern, order)))
+    return tuple(plans)
+
+
+_PINNED_CACHE: dict[tuple[int, ...], tuple[tuple, ...]] = {}
+
+
+def find_occurrence_through(
+    seq: Sequence[int], pattern: Pattern, pin: int
+) -> Optional[list[int]]:
+    """An occurrence of ``pattern`` in ``seq`` that uses position ``pin``.
+
+    One backtracking pass per pattern index ``t``, with ``t`` matched to
+    ``pin`` before the others, so ``seq[pin]`` bounds the value of every
+    later depth and the positions of each side are confined to their side
+    of ``pin``.  A pass is skipped when one of the four quadrants around
+    ``pin`` holds fewer entries of ``seq`` than the pattern needs there.
+    This is the check for a word grown by one point from a word that
+    avoided ``pattern``: any new occurrence uses the new point.  Returns the
+    increasing positions, or ``None``.
+    """
+    n_seq = len(seq)
+    if not 0 <= pin < n_seq:
+        raise IndexError(f"pin {pin} outside 0..{n_seq - 1}")
+    plans = _PINNED_CACHE.get(pattern.values)
+    if plans is None:
+        plans = _PINNED_CACHE[pattern.values] = _pinned_plans(pattern)
+    k = len(pattern)
+    pivot = seq[pin]
+    below = pivot.__gt__  # v < pivot, counted without a Python-level loop
+    left_below = sum(map(below, seq[:pin]))
+    right_below = sum(map(below, seq[pin + 1 :]))
+    left_above = pin - left_below
+    right_above = n_seq - 1 - pin - right_below
+    for t, (ll, la, rl, ra), order, plan_lo, plan_hi in plans:
+        if ll > left_below or la > left_above or rl > right_below or ra > right_above:
+            continue
+        pos = [0] * k
+        vals = [0] * k
+        pos[t] = pin
+        vals[t] = pivot
+        if k == 1:
+            return pos
+        # last usable position per index: left of pin, or right of it
+        limit = [pin - t + i if i < t else n_seq - k + i for i in range(k)]
+        d = 1
+        i = order[1]
+        p = 0 if i == 0 else pin + 1
+        while True:
+            if p > limit[i]:
+                d -= 1
+                if d < 1:
+                    break
+                i = order[d]
+                p = pos[i] + 1
+                continue
+            v = seq[p]
+            lo = plan_lo[d]
+            hi = plan_hi[d]
+            if (lo < 0 or vals[lo] < v) and (hi < 0 or v < vals[hi]):
+                pos[i] = p
+                vals[i] = v
+                d += 1
+                if d == k:
+                    return pos
+                i = order[d]
+                p = pos[i - 1] + 1
+                continue
+            p += 1
+    return None
 
 
 def sequence_contains(seq: Sequence[int], pattern: Pattern) -> bool:

@@ -25,7 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .core import Pattern, SignedPermutation, find_occurrence_positions
+from .core import (
+    Pattern,
+    SignedPermutation,
+    find_occurrence_positions,
+    find_occurrence_through,
+)
 
 __all__ = [
     "TreeLabel",
@@ -82,21 +87,33 @@ def _max_inserted(w: SignedPermutation) -> int:
     return max((v for v in w.neg_images if v > 0), default=0)
 
 
+def _require_avoider(w: SignedPermutation, pattern: Pattern) -> None:
+    """The precondition of :func:`_trial_avoids`, checked on the whole word."""
+    if find_occurrence_positions(w.full_images(), pattern) is not None:
+        raise ValueError(f"{w} contains {pattern}")
+
+
 def _trial_avoids(
     word: tuple[int, ...], site: int, gap: int, pattern: Pattern
 ) -> tuple[int, ...] | None:
-    """Insert into a bare negative-half word and test avoidance.
+    """Insert into a bare negative-half word that avoids ``pattern`` and
+    test whether the result still avoids it.
 
     Same arithmetic as :meth:`SignedPermutation.insert`, minus the value-type
     construction; trees try (sites x gaps) candidates per node and most are
-    thrown away, so the hot loop works on raw words.  Returns the new word,
-    or None when the insertion creates the pattern.
+    thrown away, so the hot loop works on raw words.  A new occurrence must
+    use the new pair ``(gap, -gap)``, and reflecting through the origin maps
+    one through ``-gap`` onto one through ``gap``, because both tree
+    patterns are their own reverse complement; so only occurrences through
+    the ``gap`` entry are searched.  Returns the new word, or None when the
+    insertion creates the pattern.
     """
     shifted = [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in word]
-    shifted.insert(len(word) + 1 - site, gap)
+    cut = len(word) + 1 - site
+    shifted.insert(cut, gap)
     new_word = tuple(shifted)
     full = new_word + tuple(-v for v in reversed(new_word))
-    if find_occurrence_positions(full, pattern) is None:
+    if find_occurrence_through(full, pattern, cut) is None:
         return new_word
     return None
 
@@ -109,8 +126,7 @@ def children(w: SignedPermutation, pattern: Pattern) -> list[SignedPermutation]:
     avoider exactly once.
     """
     _require_tree_pattern(pattern)
-    if w.contains(pattern):
-        raise ValueError(f"{w} contains {pattern}")
+    _require_avoider(w, pattern)
     n = w.n
     m = _max_inserted(w)
     out = []
@@ -150,9 +166,11 @@ def active_sites(
     The trial gap defaults to the lowest admissible one for 2143 (the
     current layer) and to the top gap for 1234 (the top layer); any gap
     within the same layer gives an order-isomorphic result, so the choice
-    of representative does not matter.
+    of representative does not matter.  Raises ``ValueError`` when ``w``
+    contains ``pattern``.
     """
     is_2143 = _require_tree_pattern(pattern)
+    _require_avoider(w, pattern)
     if gap is None:
         gap = _max_inserted(w) + 1 if is_2143 else w.n + 1
     return tuple(
@@ -172,10 +190,8 @@ def stats(w: SignedPermutation, pattern: Pattern) -> TreeLabel:
     TreeLabel(x=3, y=7, z=3)
     """
     is_2143 = _require_tree_pattern(pattern)
-    if w.contains(pattern):
-        raise ValueError(f"{w} contains {pattern}")
+    y = len(active_sites(w, pattern))  # rejects a containing w
     x = _sites_before_first_turn(w, is_2143)
-    y = len(active_sites(w, pattern))
     z = _layer_number(w)
     return TreeLabel(x, y, z)
 

@@ -178,6 +178,12 @@ def signatures(first: int, max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
+# SeriesCache recurses once per signature entry, about two stack frames each,
+# so the CLI refuses longer signatures well inside the default recursion
+# limit; at this length one series takes about a second at degree 8 (one
+# core of a 2-vCPU x86-64 virtual machine, Python 3.11).
+MAX_SIGNATURE_LENGTH = 200
+
 _KEY_2143 = "2143"
 _KEY_1234 = "1234"
 

@@ -7,6 +7,7 @@ import pytest
 
 import sigperm.cli
 import sigperm.gentree
+import sigperm.gf
 import sigperm.oracle
 from sigperm.cli import dumps_payload, main
 from sigperm.gentree import TreeLabel
@@ -170,12 +171,25 @@ class TestUsageErrors:
             ("conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "7"),
             ("count", "--n", "7", "--pattern", "1234"),
             ("count", "--n", "10", "--pattern", "2143", "--method", "brute"),
+            ("verify", "--max-n", "7"),
+            (
+                "gf", "--pattern", "2143", "--k", "0", "--q", "1",
+                "--gamma", ",".join(["2"] * 600), "--degree", "0",
+            ),
         ],
     )
     def test_exit_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+    def test_long_signature_refused_in_one_line(self, capsys):
+        gamma = ",".join(["2"] * (sigperm.gf.MAX_SIGNATURE_LENGTH + 1))
+        with pytest.raises(SystemExit) as exc:
+            main(["gf", "--pattern", "2143", "--k", "0", "--q", "1", "--gamma", gamma])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "more than the bound" in err
 
 
 class TestVerify:
@@ -192,6 +206,17 @@ class TestVerify:
             "type-d-slice",
             "series-grid",
         }
+
+    def test_brute_guard_and_allow_long(self, capsys, monkeypatch):
+        monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-n 3 exceeds the cost guard 2: about 177 containment checks" in err
+        code, doc = run_json(capsys, "verify", "--max-n", "3", "--allow-long")
+        assert code == 0
+        assert {c["status"] for c in doc["rows"]} == {"pass"}
 
     def test_injected_fault_is_caught_and_named(self, capsys, monkeypatch):
         true_successors = sigperm.gentree.successors

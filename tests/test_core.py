@@ -1,5 +1,6 @@
 """Signed permutations: construction, containment, insertion, enumeration."""
 
+import itertools
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from sigperm.core import (
     Pattern,
     SignedPermutation,
     contains_naive,
+    find_occurrence_through,
     parse,
     sequence_contains,
     signed_permutations,
@@ -132,6 +134,51 @@ class TestContains:
     def test_matches_naive_oracle_random(self, w, pat_text):
         pat = Pattern.parse(pat_text)
         assert w.contains(pat) == contains_naive(w, pat)
+
+
+# 132 and 1243 are not their own reverse complement; the others are
+PINNED_PATTERNS = ("1", "21", "132", "1243", "2143", "1234", "3142", "12345", "21354")
+
+
+def _occurs_through(seq, pattern, pin):
+    """Reference: some k-combination of positions holding ``pin``
+    standardizes to the pattern."""
+    return any(
+        pin in combo and standardize([seq[p] for p in combo]) == pattern.values
+        for combo in itertools.combinations(range(len(seq)), len(pattern))
+    )
+
+
+def _check_through(seq, pattern, pin):
+    got = find_occurrence_through(seq, pattern, pin)
+    assert (got is not None) == _occurs_through(seq, pattern, pin), (seq, pattern, pin)
+    if got is not None:
+        assert pin in got
+        assert got == sorted(set(got)) and len(got) == len(pattern)
+        assert standardize([seq[p] for p in got]) == pattern.values
+
+
+class TestPinnedKernel:
+    def test_matches_reference_exhaustively(self):
+        for n in range(4):
+            for w in signed_permutations(n):
+                seq = w.full_images()
+                for text in PINNED_PATTERNS:
+                    for pin in range(len(seq)):
+                        _check_through(seq, Pattern.parse(text), pin)
+
+    @given(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=9, unique=True),
+        st.sampled_from(PINNED_PATTERNS),
+        st.data(),
+    )
+    def test_matches_reference_random(self, seq, text, data):
+        pin = data.draw(st.integers(0, len(seq) - 1))
+        _check_through(seq, Pattern.parse(text), pin)
+
+    def test_pin_out_of_range(self):
+        with pytest.raises(IndexError):
+            find_occurrence_through([1, 2], P1234, 2)
 
 
 def _restricted_contains(w, pattern):

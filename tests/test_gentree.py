@@ -60,6 +60,19 @@ class TestStats:
         with pytest.raises(ValueError):
             stats(parse("[-1]"), Pattern.parse("123"))
 
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_active_sites_rejects_containing_permutation(self, pattern):
+        w = parse("[-2,-1]") if pattern == P1234 else parse("[-1,-2]")
+        assert w.contains(pattern)
+        with pytest.raises(ValueError, match="contains"):
+            active_sites(w, pattern)
+
+    def test_tree_patterns_are_their_own_reverse_complement(self):
+        # trial insertions are searched only through the new positive entry,
+        # which relies on this symmetry
+        for pattern in sigperm.gentree.TREE_PATTERNS:
+            assert pattern.reverse_complement() == pattern
+
     def test_top_layer_full_before_first_top_insertion(self):
         # while no image sits in the top layer (z >= 2), every site of a
         # 1234-avoider is active for the top layer
@@ -104,11 +117,14 @@ class TestChildren:
 
     def test_trial_word_path_matches_public_insert(self):
         # the raw-word fast path used inside children/active_sites must be
-        # the same map as SignedPermutation.insert plus an avoidance check
+        # the same map as SignedPermutation.insert plus an avoidance check,
+        # on its precondition: the word avoids the pattern
         from sigperm.gentree import _trial_avoids
 
-        for w in signed_permutations(3):
+        for w in signed_permutations(4):
             for pattern in BOTH:
+                if w.contains(pattern):
+                    continue
                 for site in range(1, w.n + 2):
                     for gap in range(1, w.n + 2):
                         child = w.insert(site, gap)
