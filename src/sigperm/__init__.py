@@ -34,7 +34,6 @@ from .gf import (
     avoider_count_from_series,
     f_series,
     is_recorded,
-    iter_paths,
     path_from_points,
     path_profile,
     signature_of,
@@ -74,7 +73,6 @@ __all__ = [
     "avoider_count_from_series",
     "f_series",
     "is_recorded",
-    "iter_paths",
     "path_from_points",
     "path_profile",
     "signature_of",

@@ -345,18 +345,15 @@ def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         parser.error(f"bad --gamma {args.gamma!r}: {exc}")
-    if len(gamma) > gf.MAX_SIGNATURE_LENGTH:
-        print(
-            f"sigperm: --gamma has {len(gamma)} entries, more than the "
-            f"bound {gf.MAX_SIGNATURE_LENGTH}",
-            file=sys.stderr,
-        )
-        sys.exit(2)
     if args.k < 0 or args.q < 1 or args.degree < 0:
         parser.error("need --k >= 0, --q >= 1, --degree >= 0")
 
     started = time.perf_counter()
-    series = gf.f_series(pattern, args.k, args.q, gamma, args.degree)
+    try:
+        series = gf.f_series(pattern, args.k, args.q, gamma, args.degree)
+    except ValueError as exc:  # a signature past gf.MAX_SIGNATURE_LENGTH
+        print(f"sigperm: --gamma: {exc}", file=sys.stderr)
+        sys.exit(2)
     table = [str(series)]
     cross_check: dict[str, Any] | None = None
     start = (gamma[0], gamma[0] + args.k, args.q)
@@ -439,19 +436,19 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("table", "json", "csv"), default="table"
         )
         p.add_argument("--output", help="write the payload to this file")
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="brute-force worker processes "
-            "(default: SIGPERM_THREADS or all usable cores)",
-        )
 
-    def allow_long(p: argparse.ArgumentParser, option: str) -> None:
+    def brute_force(p: argparse.ArgumentParser, option: str) -> None:
         p.add_argument(
             "--allow-long",
             action="store_true",
             help=f"run a brute-force {option} above {BRUTE_GUARD} "
             "despite the cost guard",
+        )
+        p.add_argument(
+            "--threads",
+            type=int,
+            help="brute-force worker processes "
+            "(default: SIGPERM_THREADS or all usable cores)",
         )
 
     p_count = sub.add_parser("count", help="avoider counts for one size")
@@ -461,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--method", choices=("brute", "tree", "gf", "formula"), default="brute"
     )
-    allow_long(p_count, "--n")
+    brute_force(p_count, "--n")
     common(p_count)
     p_count.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="cross-check all counting routes")
     p_verify.add_argument("--max-n", type=int, default=5)
-    allow_long(p_verify, "--max-n")
+    brute_force(p_verify, "--max-n")
     common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--p1", required=True)
     p_conj.add_argument("--p2", required=True)
     p_conj.add_argument("--max-n", type=int, default=5)
-    allow_long(p_conj, "--max-n")
+    brute_force(p_conj, "--max-n")
     common(p_conj)
     p_conj.set_defaults(func=cmd_conjecture)
 

@@ -42,12 +42,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Counter as CounterT, Iterable, Iterator
+from typing import Counter as CounterT, Iterable
 
 from collections import Counter
 
 from .core import Pattern
-from .gentree import PATTERN_1234, PATTERN_2143, TreeLabel, successors
+from .gentree import TreeLabel, _require_tree_pattern, successors
 
 __all__ = [
     "TruncatedSeries",
@@ -60,7 +60,6 @@ __all__ = [
     "is_recorded",
     "path_from_points",
     "signature_of",
-    "iter_paths",
     "path_profile",
 ]
 
@@ -179,85 +178,88 @@ def signatures(first: int, max_len: int) -> list[tuple[int, ...]]:
 
 
 # SeriesCache recurses once per signature entry, about two stack frames each,
-# so the CLI refuses longer signatures well inside the default recursion
-# limit; at this length one series takes about a second at degree 8 (one
-# core of a 2-vCPU x86-64 virtual machine, Python 3.11).
+# so SeriesCache.series refuses longer signatures well inside the default
+# recursion limit; at this length one series takes about a second at degree 8
+# (one core of a 2-vCPU x86-64 virtual machine, Python 3.11).
 MAX_SIGNATURE_LENGTH = 200
-
-_KEY_2143 = "2143"
-_KEY_1234 = "1234"
-
-
-def _pattern_key(pattern: Pattern) -> str:
-    if pattern == PATTERN_2143:
-        return _KEY_2143
-    if pattern == PATTERN_1234:
-        return _KEY_1234
-    raise ValueError(f"no path generating function for pattern {pattern}")
 
 
 class SeriesCache:
     """Memoized evaluator of the path series at one fixed degree bound.
 
-    Keys are (pattern, k, q, gamma); the degree bound is ambient to the
-    session, so entries from different bounds never mix.  Evaluation is a
-    pure function of the key, so concurrent duplicate computation would be
-    idempotent; within one session a plain dict suffices.
+    Keys are (rule, k, q, gamma), where the rule is True for 2143 and False
+    for 1234; the degree bound is ambient to the session, so entries from
+    different bounds never mix.  Evaluation is a pure function of the key,
+    so concurrent duplicate computation would be idempotent; within one
+    session a plain dict suffices.
     """
 
     def __init__(self, degree_bound: int):
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
         self.degree_bound = degree_bound
-        self._memo: dict[tuple[str, int, int, tuple[int, ...]], TruncatedSeries] = {}
+        self._memo: dict[tuple[bool, int, int, tuple[int, ...]], TruncatedSeries] = {}
         self._zero = TruncatedSeries.zero(degree_bound)
 
     def series(self, pattern: Pattern, k: int, q: int, gamma: Iterable[int]) -> TruncatedSeries:
-        """``F(pattern, k, q, gamma)`` truncated at the session bound."""
+        """``F(pattern, k, q, gamma)`` truncated at the session bound.
+
+        Raises ``ValueError`` for a signature longer than
+        ``MAX_SIGNATURE_LENGTH``.
+        """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        return self._f(_pattern_key(pattern), k, q, validate_signature(gamma))
+        rule_2143 = _require_tree_pattern(pattern)
+        gamma = validate_signature(gamma)
+        if len(gamma) > MAX_SIGNATURE_LENGTH:
+            raise ValueError(
+                f"signature has {len(gamma)} entries, more than the bound "
+                f"{MAX_SIGNATURE_LENGTH}"
+            )
+        return self._f(rule_2143, k, q, gamma)
 
-    def _f(self, key: str, k: int, q: int, gamma: tuple[int, ...]) -> TruncatedSeries:
+    def _f(
+        self, rule_2143: bool, k: int, q: int, gamma: tuple[int, ...]
+    ) -> TruncatedSeries:
         """Recurse on the signature tail only; the chains in ``q`` and ``k``
         run as loops, so the stack depth is bounded by ``len(gamma)``."""
         if q <= 0:
             return self._zero
-        if key == _KEY_1234 and q == 1:
-            key = _KEY_2143  # the two succession rules coincide at layer 1
-        hit = self._memo.get((key, k, q, gamma))
+        if q == 1:
+            rule_2143 = True  # the two succession rules coincide at layer 1
+        hit = self._memo.get((rule_2143, k, q, gamma))
         if hit is not None:
             return hit
         if len(gamma) == 1:
             val = TruncatedSeries.geometric_power(k, self.degree_bound)
-            self._memo[(key, k, q, gamma)] = val
+            self._memo[(rule_2143, k, q, gamma)] = val
             return val
         g1, g2 = gamma[0], gamma[1]
         rest = gamma[1:]
-        if key == _KEY_2143 and k > 0:
+        if rule_2143 and k > 0:
             # F(k) = s * (F(k-1) + F(g1+1-g2+k, rest) - F(g1-g2+k, rest))
-            val = self._f(key, 0, q, gamma)
+            val = self._f(rule_2143, 0, q, gamma)
             for step in range(1, k + 1):
-                memo_key = (key, step, q, gamma)
+                memo_key = (rule_2143, step, q, gamma)
                 hit = self._memo.get(memo_key)
                 if hit is None:
                     hit = (
                         val
-                        + self._f(key, g1 + 1 - g2 + step, q, rest)
-                        - self._f(key, g1 - g2 + step, q, rest)
+                        + self._f(rule_2143, g1 + 1 - g2 + step, q, rest)
+                        - self._f(rule_2143, g1 - g2 + step, q, rest)
                     ).prefix_sums()
                     self._memo[memo_key] = hit
                 val = hit
             return val
         # F(q) = F(q-1) + F(g1+1-g2+k, q, rest), from layer 0 for 2143 and
         # from the shared layer 1 for 1234
-        low = 1 if key == _KEY_1234 else 0
-        val = self._f(_KEY_2143, k, low, gamma)
+        low = 0 if rule_2143 else 1
+        val = self._f(True, k, low, gamma)
         for layer in range(low + 1, q + 1):
-            memo_key = (key, k, layer, gamma)
+            memo_key = (rule_2143, k, layer, gamma)
             hit = self._memo.get(memo_key)
             if hit is None:
-                hit = val + self._f(key, g1 + 1 - g2 + k, layer, rest)
+                hit = val + self._f(rule_2143, g1 + 1 - g2 + k, layer, rest)
                 self._memo[memo_key] = hit
             val = hit
         return val
@@ -286,7 +288,7 @@ def avoider_count_from_series(n: int, j: int, pattern: Pattern) -> int:
     """
     if not 0 <= j <= n:
         raise ValueError(f"statistic {j} outside 0..{n}")
-    rule_2143 = _pattern_key(pattern) == _KEY_2143
+    rule_2143 = _require_tree_pattern(pattern)
     root = j + 1
     top = n + 2
     # cur[(k, q, g1)] = [t^d] H(k, q, g1);
@@ -340,32 +342,25 @@ class LatticePath:
         return len(self.points)
 
 
+def _records(start: TreeLabel, end: TreeLabel, rule_2143: bool) -> bool:
+    """The flag of a legal step: it bumps the active-site count, or, under
+    the 2143 rule, it drops to a lower layer."""
+    return end.y == start.y + 1 or (rule_2143 and end.z < start.z)
+
+
 def is_recorded(start: TreeLabel, end: TreeLabel, pattern: Pattern) -> bool:
     """Classify one succession step as recorded or not.
 
-    Raises if the step is not legal for the pattern's rule.  For 2143 a step
-    is recorded when it stays in the layer and bumps the active-site count,
-    or whenever it drops to a lower layer (forced through the sites before
-    the first turn, so the new count is ``x + 1``).  For 1234 a step is
-    recorded exactly when it bumps the active-site count.
+    Raises ``ValueError`` unless ``end`` is one of the :func:`successors` of
+    ``start``.  For 2143 a step is recorded when it stays in the layer and
+    bumps the active-site count, or whenever it drops to a lower layer
+    (forced through the sites before the first turn, so the new count is
+    ``x + 1``).  For 1234 a step is recorded exactly when it bumps the
+    active-site count.
     """
-    x1, y1, z1 = start
-    x2, y2, z2 = end
-    key = _pattern_key(pattern)
-    if key == _KEY_2143:
-        if z2 == z1:
-            if y2 == y1 + 1 and 2 <= x2 <= x1 + 1:
-                return True
-            if x2 == x1 and x1 + 1 <= y2 <= y1:
-                return False
-        elif 1 <= z2 < z1 and y2 == x1 + 1 and 2 <= x2 <= x1 + 1:
-            return True
-    else:
-        if y2 == y1 + 1 and 2 <= x2 <= x1 + 1 and 1 <= z2 <= z1:
-            return True
-        if z2 == 1 and x2 == x1 and x1 + 1 <= y2 <= y1:
-            return False
-    raise ValueError(f"{start} -> {end} is not a legal {pattern} step")
+    if end not in successors(start, pattern):
+        raise ValueError(f"{start} -> {end} is not a legal {pattern} step")
+    return _records(start, end, _require_tree_pattern(pattern))
 
 
 def path_from_points(
@@ -388,50 +383,35 @@ def signature_of(path: LatticePath) -> tuple[int, ...]:
     return tuple(sig)
 
 
-def iter_paths(
+def path_profile(
     pattern: Pattern, start: TreeLabel | tuple[int, int, int], max_points: int
-) -> Iterator[LatticePath]:
-    """Every path from ``start`` with at most ``max_points`` points.
+) -> CounterT[tuple[tuple[int, ...], int]]:
+    """Counts of the paths from ``start`` with at most ``max_points`` points,
+    grouped by (signature, points - signature length).
 
-    Any start with ``1 <= x <= y`` and ``z >= 1`` is allowed (tree roots have
-    x = y); desk scale only - the number of paths grows like the avoider
-    counts themselves.
+    Enumerating paths and bucketing them this way is the independent check
+    of the series recursion: the bucket ``(gamma, d)`` must equal the
+    coefficient of ``t^d`` in ``F`` for the matching start.  Any start with
+    ``1 <= x <= y`` and ``z >= 1`` is allowed (tree roots have x = y); desk
+    scale only - the number of paths grows like the avoider counts
+    themselves.
     """
     first = TreeLabel(*start)
     if not (1 <= first.x <= first.y and first.z >= 1):
         raise ValueError(f"invalid start {first}")
-    if max_points < 1:
-        return
-
-    points = [first]
-    flags: list[bool] = []
-
-    def rec() -> Iterator[LatticePath]:
-        yield LatticePath(tuple(points), tuple(flags))
-        if len(points) == max_points:
-            return
-        here = points[-1]
-        for child in successors(here, pattern):
-            points.append(child)
-            flags.append(is_recorded(here, child, pattern))
-            yield from rec()
-            points.pop()
-            flags.pop()
-
-    yield from rec()
-
-
-def path_profile(
-    pattern: Pattern, start: TreeLabel | tuple[int, int, int], max_points: int
-) -> CounterT[tuple[tuple[int, ...], int]]:
-    """Path counts grouped by (signature, points - signature length).
-
-    Enumerating paths and bucketing them this way is the independent check
-    of the series recursion: the bucket ``(gamma, d)`` must equal the
-    coefficient of ``t^d`` in ``F`` for the matching start.
-    """
+    rule_2143 = _require_tree_pattern(pattern)
     profile: CounterT[tuple[tuple[int, ...], int]] = Counter()
-    for path in iter_paths(pattern, start, max_points):
-        sig = signature_of(path)
-        profile[(sig, len(path) - len(sig))] += 1
+    # one entry per path prefix: (last point, signature so far, points)
+    stack = [(first, (first.x,), 1)] if max_points >= 1 else []
+    while stack:
+        here, sig, points = stack.pop()
+        profile[(sig, points - len(sig))] += 1
+        if points == max_points:
+            continue
+        for child in successors(here, pattern):
+            if _records(here, child, rule_2143):
+                child_sig = sig + (child.x,)
+            else:
+                child_sig = sig
+            stack.append((child, child_sig, points + 1))
     return profile

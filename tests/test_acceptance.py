@@ -107,6 +107,7 @@ def test_criterion_05_series_equality_grid():
 
 
 def test_criterion_06_series_versus_paths():
+    started = time.perf_counter()
     checks = 0
     for pattern in BOTH:
         for x in range(1, 4):
@@ -124,7 +125,9 @@ def test_criterion_06_series_versus_paths():
                                 (gamma, d), 0
                             ), (pattern, (x, y, z), gamma, d)
                             checks += 1
-    report(6, f"path enumeration matches {checks} series coefficients")
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30.0, f"budget exceeded: {elapsed:.1f}s"
+    report(6, f"path enumeration matches {checks} series coefficients, {elapsed:.1f}s")
 
 
 def test_criterion_07_succession_rule_isomorphism():

@@ -176,6 +176,11 @@ class TestUsageErrors:
                 "gf", "--pattern", "2143", "--k", "0", "--q", "1",
                 "--gamma", ",".join(["2"] * 600), "--degree", "0",
             ),
+            (
+                "gf", "--pattern", "2143", "--k", "0", "--q", "1",
+                "--gamma", "2", "--threads", "2",
+            ),
+            ("tree", "--pattern", "2143", "--j", "1", "--depth", "1", "--threads", "2"),
         ],
     )
     def test_exit_code_two(self, argv):

@@ -1,21 +1,20 @@
 """Truncated series, signatures, lattice paths, and the path series."""
 
-import itertools
 import sys
 from math import comb
 
 import pytest
 
 from sigperm.core import Pattern
-from sigperm.gentree import TreeLabel, level_counts
+from sigperm.gentree import TreeLabel, level_counts, successors
 from sigperm.gf import (
+    MAX_SIGNATURE_LENGTH,
     LatticePath,
     SeriesCache,
     TruncatedSeries,
     avoider_count_from_series,
     f_series,
     is_recorded,
-    iter_paths,
     path_from_points,
     path_profile,
     signature_of,
@@ -149,6 +148,12 @@ class TestSeries:
         with pytest.raises(ValueError):
             f_series(Pattern.parse("321"), 0, 1, (2,), 4)
 
+    def test_signature_length_bounded(self):
+        message = "signature has 600 entries, more than the bound 200"
+        with pytest.raises(ValueError, match=message):
+            f_series(P2143, 0, 1, [2] * 600, 0)
+        assert f_series(P2143, 0, 1, [2] * MAX_SIGNATURE_LENGTH, 0).coeffs == (1,)
+
     def test_zero_conventions(self):
         assert f_series(P2143, 2, 0, (3, 2), 4).coeffs == (0,) * 5
         assert f_series(P1234, 2, -1, (3,), 4).coeffs == (0,) * 5
@@ -204,8 +209,8 @@ class TestCountExtraction:
         # signature would need a path with fewer points than recorded steps,
         # and no path is shorter than its signature
         for pattern in BOTH:
-            for path in iter_paths(pattern, (2, 2, 2), 4):
-                assert len(signature_of(path)) <= len(path)
+            for _sig, d in path_profile(pattern, (2, 2, 2), 4):
+                assert d >= 0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -231,18 +236,32 @@ class TestRecordedSteps:
         with pytest.raises(ValueError):
             is_recorded(TreeLabel(2, 4, 1), TreeLabel(2, 6, 1), P1234)
 
+    @staticmethod
+    def box_steps(pattern):
+        """Every legal step from the labels with x <= 4, y <= 5, z <= 3."""
+        for x in range(1, 5):
+            for y in range(x, 6):
+                for z in range(1, 4):
+                    a = TreeLabel(x, y, z)
+                    for b in successors(a, pattern):
+                        yield a, b
+
     @pytest.mark.parametrize("pattern", BOTH)
     def test_unrecorded_steps_preserve_x(self, pattern):
-        for path in iter_paths(pattern, (2, 3, 2), 5):
-            for (a, b), flag in zip(itertools.pairwise(path.points), path.recorded):
-                if not flag:
-                    assert a.x == b.x
+        unrecorded = 0
+        for a, b in self.box_steps(pattern):
+            if not is_recorded(a, b, pattern):
+                assert a.x == b.x, (a, b)
+                unrecorded += 1
+        assert unrecorded > 0
 
     def test_2143_layer_drops_set_y_from_x(self):
-        for path in iter_paths(P2143, (3, 4, 3), 5):
-            for a, b in itertools.pairwise(path.points):
-                if b.z < a.z:
-                    assert b.y == a.x + 1
+        drops = 0
+        for a, b in self.box_steps(P2143):
+            if b.z < a.z:
+                assert is_recorded(a, b, P2143) and b.y == a.x + 1, (a, b)
+                drops += 1
+        assert drops > 0
 
 
 class TestPaths:
@@ -256,15 +275,25 @@ class TestPaths:
         assert signature_of(path) == SHARED_SIGNATURE
 
     def test_single_point_path(self):
-        paths = list(iter_paths(P2143, (3, 4, 2), 1))
-        assert paths == [LatticePath((TreeLabel(3, 4, 2),), ())]
-        assert signature_of(paths[0]) == (3,)
+        for pattern in BOTH:
+            assert path_profile(pattern, (3, 4, 2), 1) == {((3,), 0): 1}
 
     def test_invalid_start(self):
-        with pytest.raises(ValueError):
-            list(iter_paths(P2143, (3, 2, 1), 4))
-        with pytest.raises(ValueError):
-            list(iter_paths(P2143, (0, 2, 1), 4))
+        for start in [(3, 2, 1), (0, 2, 1), (2, 2, 0)]:
+            with pytest.raises(ValueError):
+                path_profile(P2143, start, 4)
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_profile_counts_tree_levels(self, pattern):
+        # paths of m points from a tree root are the avoiders at depth m - 1
+        for j in range(3):
+            profile = path_profile(pattern, (j + 1, j + 1, j + 1), 7)
+            levels = level_counts(pattern, j, 6)
+            for m in range(1, 8):
+                paths = sum(
+                    count for (sig, d), count in profile.items() if len(sig) + d == m
+                )
+                assert paths == levels[m - 1], (j, m)
 
     def test_flag_layout_validated(self):
         with pytest.raises(ValueError):
