@@ -15,7 +15,6 @@ from sigperm import (
     egge_formula,
     level_counts,
     parse,
-    total_avoiders,
     type_d_avoiders,
 )
 
@@ -44,8 +43,8 @@ print("The refined counts agree between the two patterns, so their totals")
 print("match Egge's binomial-Catalan sum:")
 print(f"{'n':>2} {'1234':>8} {'2143':>8} {'sum C(n,j)^2 C_j':>18}")
 for n in range(7):
-    t1 = total_avoiders(n, P1234)
-    t2 = total_avoiders(n, P2143)
+    t1 = sum(avoider_counts(n, P1234))
+    t2 = sum(avoider_counts(n, P2143))
     print(f"{n:>2} {t1:>8} {t2:>8} {egge_formula(n):>18}")
 print()
 

@@ -48,13 +48,14 @@ for pattern in (P2143, P1234):
         print(f"    child label {lab} x{mult}")
 print()
 
-print("One explicit tree, two levels deep (pattern 2143, j = 1):")
+print("One explicit tree, two levels deep (pattern 2143, j = 1).  Each node")
+print("carries its label, read off the same trial insertions that grew its")
+print("children, so the labels below cost no second pass:")
 tree = build_tree(P2143, 1, 2)
 
 
 def show(node, indent):
-    label = tuple(stats(node.perm, P2143))
-    print(f"{'  ' * indent}{node.perm}  {label}")
+    print(f"{'  ' * indent}{node.perm}  {tuple(node.label)}")
     for child in node.children:
         show(child, indent + 1)
 

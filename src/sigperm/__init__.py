@@ -45,9 +45,7 @@ from .oracle import (
     catalan,
     classical_1234_formula,
     classical_avoiders,
-    count_avoiders,
     egge_formula,
-    total_avoiders,
     type_d_avoiders,
 )
 
@@ -82,8 +80,6 @@ __all__ = [
     "catalan",
     "classical_1234_formula",
     "classical_avoiders",
-    "count_avoiders",
     "egge_formula",
-    "total_avoiders",
     "type_d_avoiders",
 ]

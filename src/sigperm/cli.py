@@ -139,7 +139,7 @@ def _parse_pattern(parser: argparse.ArgumentParser, text: str) -> Pattern:
 
 def _count_one(n: int, j: int, pattern: Pattern, method: str, workers: int) -> int:
     if method == "brute":
-        return oracle.count_avoiders(n, j, pattern, workers=workers)
+        return oracle.avoider_counts(n, pattern, workers=workers)[j]
     if method == "tree":
         return gentree.level_counts(pattern, j, n - j)[-1]
     return gf.avoider_count_from_series(n, j, pattern)
@@ -392,12 +392,11 @@ def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 1 if cross_check is not None and not cross_check["agrees"] else 0
 
 
-def _tree_as_dict(node: gentree.PermTreeNode, pattern: Pattern) -> dict[str, Any]:
-    label = gentree.stats(node.perm, pattern)
+def _tree_as_dict(node: gentree.PermTreeNode) -> dict[str, Any]:
     return {
         "perm": str(node.perm),
-        "label": [label.x, label.y, label.z],
-        "children": [_tree_as_dict(c, pattern) for c in node.children],
+        "label": list(node.label),
+        "children": [_tree_as_dict(c) for c in node.children],
     }
 
 
@@ -419,7 +418,7 @@ def cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         "j": args.j,
         "methods": ["tree"],
     }
-    _emit(args, started, manifest, {"tree": _tree_as_dict(root, pattern)})
+    _emit(args, started, manifest, {"tree": _tree_as_dict(root)})
     return 0
 
 

@@ -254,11 +254,6 @@ def find_occurrence_through(
     return None
 
 
-def sequence_contains(seq: Sequence[int], pattern: Pattern) -> bool:
-    """Whether ``seq`` (distinct integers) contains ``pattern``."""
-    return find_occurrence_positions(seq, pattern) is not None
-
-
 def standardize(values: Sequence[int]) -> tuple[int, ...]:
     """Relabel distinct integers order-isomorphically to ``1..len(values)``."""
     order = sorted(values)
@@ -355,21 +350,6 @@ class SignedPermutation:
         ]
         cut = n + 1 - site
         return SignedPermutation(tuple(shifted[:cut] + [gap] + shifted[cut:]))
-
-    def remove(self, value: int) -> "SignedPermutation":
-        """Inverse of :meth:`insert`: drop the negative-half entry ``value``.
-
-        The remaining images of absolute value > ``value`` are pulled one
-        step back toward zero.
-        """
-        if value not in self.neg_images:
-            raise ValueError(f"{value} is not a negative-half image")
-        kept = [
-            v if abs(v) < value else (v + 1 if v < 0 else v - 1)
-            for v in self.neg_images
-            if v != value
-        ]
-        return SignedPermutation(tuple(kept))
 
 
 def parse(text: str) -> SignedPermutation:

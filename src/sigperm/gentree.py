@@ -23,7 +23,7 @@ without building it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     Pattern,
@@ -43,7 +43,6 @@ __all__ = [
     "successors",
     "build_tree",
     "level_counts",
-    "iter_nodes",
 ]
 
 
@@ -118,6 +117,24 @@ def _trial_avoids(
     return None
 
 
+def _accepted(
+    w: SignedPermutation, gap: int, pattern: Pattern
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The ``(site, new word)`` pairs of every avoiding insertion at ``gap``,
+    by increasing site; ``w`` must avoid ``pattern``."""
+    trials = (
+        (site, _trial_avoids(w.neg_images, site, gap, pattern))
+        for site in range(1, w.n + 2)
+    )
+    return [(site, word) for site, word in trials if word is not None]
+
+
+def _label_gap(w: SignedPermutation, is_2143: bool) -> int:
+    """The gap whose trials give y: the lowest admissible one for 2143 (the
+    current layer), the top one for 1234 (the top layer)."""
+    return _max_inserted(w) + 1 if is_2143 else w.n + 1
+
+
 def children(w: SignedPermutation, pattern: Pattern) -> list[SignedPermutation]:
     """All avoiding insertions of a new largest image into ``w``.
 
@@ -127,15 +144,11 @@ def children(w: SignedPermutation, pattern: Pattern) -> list[SignedPermutation]:
     """
     _require_tree_pattern(pattern)
     _require_avoider(w, pattern)
-    n = w.n
-    m = _max_inserted(w)
-    out = []
-    for gap in range(m + 1, n + 2):
-        for site in range(1, n + 2):
-            word = _trial_avoids(w.neg_images, site, gap, pattern)
-            if word is not None:
-                out.append(SignedPermutation(word))
-    return out
+    return [
+        SignedPermutation(word)
+        for gap in range(_max_inserted(w) + 1, w.n + 2)
+        for _, word in _accepted(w, gap, pattern)
+    ]
 
 
 def _sites_before_first_turn(w: SignedPermutation, is_2143: bool) -> int:
@@ -158,6 +171,11 @@ def _layer_number(w: SignedPermutation) -> int:
     return 1 + sum(1 for h in heights if h > m)
 
 
+def _label(w: SignedPermutation, is_2143: bool, y: int) -> TreeLabel:
+    """The label of ``w`` given its active-site count ``y``."""
+    return TreeLabel(_sites_before_first_turn(w, is_2143), y, _layer_number(w))
+
+
 def active_sites(
     w: SignedPermutation, pattern: Pattern, gap: int | None = None
 ) -> tuple[int, ...]:
@@ -167,17 +185,15 @@ def active_sites(
     current layer) and to the top gap for 1234 (the top layer); any gap
     within the same layer gives an order-isomorphic result, so the choice
     of representative does not matter.  Raises ``ValueError`` when ``w``
-    contains ``pattern``.
+    contains ``pattern`` or ``gap`` lies outside ``1..n+1``.
     """
     is_2143 = _require_tree_pattern(pattern)
-    _require_avoider(w, pattern)
     if gap is None:
-        gap = _max_inserted(w) + 1 if is_2143 else w.n + 1
-    return tuple(
-        site
-        for site in range(1, w.n + 2)
-        if _trial_avoids(w.neg_images, site, gap, pattern) is not None
-    )
+        gap = _label_gap(w, is_2143)
+    elif not 1 <= gap <= w.n + 1:
+        raise ValueError(f"gap {gap} outside 1..{w.n + 1}")
+    _require_avoider(w, pattern)
+    return tuple(site for site, _ in _accepted(w, gap, pattern))
 
 
 def stats(w: SignedPermutation, pattern: Pattern) -> TreeLabel:
@@ -191,9 +207,7 @@ def stats(w: SignedPermutation, pattern: Pattern) -> TreeLabel:
     """
     is_2143 = _require_tree_pattern(pattern)
     y = len(active_sites(w, pattern))  # rejects a containing w
-    x = _sites_before_first_turn(w, is_2143)
-    z = _layer_number(w)
-    return TreeLabel(x, y, z)
+    return _label(w, is_2143, y)
 
 
 def successors(label: TreeLabel, pattern: Pattern) -> list[TreeLabel]:
@@ -224,9 +238,10 @@ def successors(label: TreeLabel, pattern: Pattern) -> list[TreeLabel]:
 
 @dataclass
 class PermTreeNode:
-    """A node of the explicit permutation-labeled tree."""
+    """A node of the explicit permutation-labeled tree, with its label."""
 
     perm: SignedPermutation
+    label: TreeLabel
     children: list["PermTreeNode"] = field(default_factory=list)
 
 
@@ -234,7 +249,10 @@ def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
     """The explicit tree down to ``depth``; level ``d`` holds every avoider
     of size ``j + d`` with statistic ``j``, each exactly once.
 
-    Capped at ``MAX_TREE_DEPTH`` and ``MAX_TREE_J``.
+    Each node's label is :func:`stats` of its permutation, read off the
+    same trial insertions that grow its children.  Only the root is
+    scanned whole for the pattern: an insertion the trials accept avoids
+    it.  Capped at ``MAX_TREE_DEPTH`` and ``MAX_TREE_J``.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -243,24 +261,26 @@ def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
             f"explicit tree capped at depth {MAX_TREE_DEPTH}, statistic "
             f"{MAX_TREE_J}; level_counts gives level sizes beyond the cap"
         )
-    root = PermTreeNode(tree_root(pattern, j))
-    frontier = [root]
-    for _ in range(depth):
-        next_frontier: list[PermTreeNode] = []
-        for node in frontier:
-            node.children = [PermTreeNode(c) for c in children(node.perm, pattern)]
-            next_frontier.extend(node.children)
-        frontier = next_frontier
-    return root
+    is_2143 = _require_tree_pattern(pattern)
 
+    def grow(w: SignedPermutation, levels: int) -> PermTreeNode:
+        label_gap = _label_gap(w, is_2143)
+        gaps = range(_max_inserted(w) + 1, w.n + 2) if levels else (label_gap,)
+        y = 0
+        kids = []
+        for gap in gaps:
+            accepted = _accepted(w, gap, pattern)
+            if gap == label_gap:
+                y = len(accepted)
+            if levels:
+                kids.extend(
+                    grow(SignedPermutation(word), levels - 1) for _, word in accepted
+                )
+        return PermTreeNode(w, _label(w, is_2143, y), kids)
 
-def iter_nodes(root: PermTreeNode) -> Iterator[PermTreeNode]:
-    """Depth-first iteration over every node of an explicit tree."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
+    root = tree_root(pattern, j)
+    _require_avoider(root, pattern)
+    return grow(root, depth)
 
 
 def level_counts(pattern: Pattern, j: int, max_depth: int) -> list[int]:

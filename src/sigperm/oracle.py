@@ -20,8 +20,6 @@ __all__ = [
     "egge_formula",
     "classical_1234_formula",
     "avoider_counts",
-    "count_avoiders",
-    "total_avoiders",
     "type_d_avoiders",
     "classical_avoiders",
     "usable_cpus",
@@ -126,20 +124,6 @@ def avoider_counts(
                     counts[j] += c
         return tuple(counts)
     return _avoider_row(n, pattern.values)
-
-
-def count_avoiders(
-    n: int, j: int, pattern: Pattern, workers: int | None = None
-) -> int:
-    """``|B_n^j(pattern)|``: avoiders with statistic exactly ``j``."""
-    if not 0 <= j <= n:
-        raise ValueError(f"statistic {j} outside 0..{n}")
-    return avoider_counts(n, pattern, workers)[j]
-
-
-def total_avoiders(n: int, pattern: Pattern, workers: int | None = None) -> int:
-    """All avoiders of size ``n``, i.e. the row sum over the statistic."""
-    return sum(avoider_counts(n, pattern, workers))
 
 
 def type_d_avoiders(n: int, pattern: Pattern) -> int:

@@ -359,3 +359,17 @@ class TestTree:
             return sizes
 
         assert level_sizes(doc["tree"]) == [1, 1, 2, 6]
+
+    def test_labels_are_read_off_the_tree(self, capsys, monkeypatch):
+        # the dump recomputes nothing per node
+        def refuse(*args):
+            raise AssertionError("recomputed a node")
+
+        monkeypatch.setattr(sigperm.gentree, "stats", refuse)
+        monkeypatch.setattr(sigperm.gentree, "children", refuse)
+        code, doc = run_json(capsys, "tree", "--pattern", "2143", "--j", "2", "--depth", "2")
+        assert code == 0
+        assert doc["tree"]["label"] == [3, 3, 3]
+        assert sorted(tuple(c["label"]) for c in doc["tree"]["children"]) == sorted(
+            sigperm.gentree.successors(TreeLabel(3, 3, 3), sigperm.gentree.PATTERN_2143)
+        )

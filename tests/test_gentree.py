@@ -11,7 +11,6 @@ from sigperm.gentree import (
     active_sites,
     build_tree,
     children,
-    iter_nodes,
     level_counts,
     stats,
     successors,
@@ -22,6 +21,14 @@ from sigperm.oracle import avoider_counts
 P1234 = Pattern.parse("1234")
 P2143 = Pattern.parse("2143")
 BOTH = (P1234, P2143)
+
+
+def tree_levels(root):
+    """The nodes of an explicit tree, one list per level."""
+    level = [root]
+    while level:
+        yield level
+        level = [c for node in level for c in node.children]
 
 
 def successors_recursive(label, pattern):
@@ -96,6 +103,17 @@ class TestStats:
                 gap = heights[above - 1] + 1 if above >= 1 else 1
                 assert len(active_sites(w, P2143, gap)) == label.x
 
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_active_sites_rejects_gap_out_of_range(self, pattern):
+        # the same range and message as SignedPermutation.insert
+        w = parse("[2,-3,4,-5,1,-6]") if pattern == P1234 else parse("[-6,4,-3,5,2,1]")
+        assert w.avoids(pattern)
+        for gap in (0, -2, w.n + 2):
+            with pytest.raises(ValueError, match=rf"gap {gap} outside 1\.\.7"):
+                active_sites(w, pattern, gap)
+            with pytest.raises(ValueError, match=rf"gap {gap} outside 1\.\.7"):
+                w.insert(1, gap)
+
 
 class TestRoots:
     def test_shapes(self):
@@ -148,18 +166,21 @@ class TestChildren:
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_children_are_distinct_avoiding_extensions(self, pattern):
-        for w in signed_permutations(3):
-            if not w.avoids(pattern):
-                continue
-            kids = children(w, pattern)
-            assert len(set(kids)) == len(kids)
-            m = max((v for v in w.neg_images if v > 0), default=0)
-            for child in kids:
-                assert child.n == w.n + 1
-                assert child.avoids(pattern)
-                new_value = max(child.neg_images)
-                assert new_value > m
-                assert child.remove(new_value) == w
+        # exactly the avoiding public insertions above the largest inserted
+        # image, gap by gap and site by site
+        for n in range(4):
+            for w in signed_permutations(n):
+                if not w.avoids(pattern):
+                    continue
+                m = max((v for v in w.neg_images if v > 0), default=0)
+                want = [
+                    w.insert(s, g)
+                    for g in range(m + 1, n + 2)
+                    for s in range(1, n + 2)
+                    if w.insert(s, g).avoids(pattern)
+                ]
+                assert children(w, pattern) == want, w
+                assert len(set(want)) == len(want)
 
 
 class TestSuccessionRule:
@@ -215,19 +236,20 @@ class TestTreeIsomorphism:
     @pytest.mark.parametrize("pattern", BOTH)
     @pytest.mark.parametrize("j", range(3))
     def test_children_stats_match_rule(self, pattern, j):
-        root = build_tree(pattern, j, 3)
-        for node in iter_nodes(root):
-            got = Counter(stats(c, pattern) for c in children(node.perm, pattern))
-            want = Counter(successors(stats(node.perm, pattern), pattern))
-            assert got == want, node.perm
+        for level in tree_levels(build_tree(pattern, j, 3)):
+            for node in level:
+                kids = children(node.perm, pattern)
+                got = Counter(stats(c, pattern) for c in kids)
+                want = Counter(successors(stats(node.perm, pattern), pattern))
+                assert got == want, node.perm
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_active_sites_shrink_along_edges(self, pattern):
         # within a fixed layer, inserting splits one active site in two and
         # can only deactivate others
         for j in range(2):
-            root = build_tree(pattern, j, 2)
-            for node in iter_nodes(root):
+            levels = tree_levels(build_tree(pattern, j, 2))
+            for node in (node for level in levels for node in level):
                 w = node.perm
                 heights = sorted(-v for v in w.neg_images if v < 0)
                 m = max((v for v in w.neg_images if v > 0), default=0)
@@ -276,9 +298,45 @@ class TestExplicitTree:
     @pytest.mark.parametrize("pattern", BOTH)
     def test_no_permutation_appears_twice_anywhere(self, pattern):
         seen = Counter(
-            node.perm for node in iter_nodes(build_tree(pattern, 1, 3))
+            node.perm
+            for level in tree_levels(build_tree(pattern, 1, 3))
+            for node in level
         )
         assert all(count == 1 for count in seen.values())
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    @pytest.mark.parametrize("j", range(3))
+    def test_nodes_carry_their_labels(self, pattern, j):
+        for depth, level in enumerate(tree_levels(build_tree(pattern, j, 3))):
+            for node in level:
+                assert node.label == stats(node.perm, pattern), node.perm
+                if depth < 3:
+                    got = Counter(c.label for c in node.children)
+                    assert got == Counter(successors(node.label, pattern))
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_one_whole_scan_and_one_trial_pass(self, pattern, monkeypatch):
+        # only the root is scanned whole, and no (node, gap) trials repeat
+        scans, trials = [], []
+        true_scan = sigperm.gentree.find_occurrence_positions
+        true_accepted = sigperm.gentree._accepted
+
+        def scan(seq, p):
+            scans.append(tuple(seq))
+            return true_scan(seq, p)
+
+        def accepted(w, gap, p):
+            trials.append((w, gap))
+            return true_accepted(w, gap, p)
+
+        monkeypatch.setattr(sigperm.gentree, "find_occurrence_positions", scan)
+        monkeypatch.setattr(sigperm.gentree, "_accepted", accepted)
+        root = build_tree(pattern, 1, 3)
+        assert scans == [root.perm.full_images()]
+        assert len(set(trials)) == len(trials)
+        assert {w for w, _ in trials} == {
+            node.perm for level in tree_levels(root) for node in level
+        }
 
     def test_caps(self, monkeypatch):
         with pytest.raises(ValueError):

@@ -9,9 +9,7 @@ from sigperm.oracle import (
     catalan,
     classical_1234_formula,
     classical_avoiders,
-    count_avoiders,
     egge_formula,
-    total_avoiders,
     type_d_avoiders,
 )
 
@@ -60,16 +58,16 @@ class TestBruteForce:
         # all eight size-2 elements; only the identity's embedding is 1234
         assert avoider_counts(2, P1234) == (2, 4, 1)
         assert avoider_counts(2, P2143) == (2, 4, 1)
-        assert total_avoiders(2, P1234) == 7
+        assert sum(avoider_counts(2, P1234)) == 7
 
     def test_full_statistic_slice(self):
         for n in range(6):
-            assert count_avoiders(n, n, P1234) == 1
-            assert count_avoiders(n, n, P2143) == 1
+            assert avoider_counts(n, P1234)[n] == 1
+            assert avoider_counts(n, P2143)[n] == 1
 
     def test_size_one(self):
-        assert count_avoiders(1, 0, P2143) == 1
-        assert total_avoiders(1, P2143) == 2
+        assert avoider_counts(1, P2143)[0] == 1
+        assert sum(avoider_counts(1, P2143)) == 2
 
     def test_zero_slice_is_classical(self):
         for pat in (P1234, P2143, Pattern.parse("12345")):
@@ -86,18 +84,9 @@ class TestBruteForce:
             513,
         ]
 
-    def test_statistic_out_of_range(self):
-        with pytest.raises(ValueError):
-            count_avoiders(3, 4, P1234)
-
-    def test_row_sums(self):
-        for n in range(5):
-            for pat in (P1234, P2143):
-                assert sum(avoider_counts(n, pat)) == total_avoiders(n, pat)
-
     def test_totals_match_egge(self):
         for n in range(5):
-            assert total_avoiders(n, P1234) == egge_formula(n)
+            assert sum(avoider_counts(n, P1234)) == egge_formula(n)
 
 
 class TestTypeD:
