@@ -389,29 +389,29 @@ def path_profile(
     """Counts of the paths from ``start`` with at most ``max_points`` points,
     grouped by (signature, points - signature length).
 
-    Enumerating paths and bucketing them this way is the independent check
-    of the series recursion: the bucket ``(gamma, d)`` must equal the
+    Counting paths and bucketing them this way is the independent check of
+    the series recursion: the bucket ``(gamma, d)`` must equal the
     coefficient of ``t^d`` in ``F`` for the matching start.  Any start with
-    ``1 <= x <= y`` and ``z >= 1`` is allowed (tree roots have x = y); desk
-    scale only - the number of paths grows like the avoider counts
-    themselves.
+    ``1 <= x <= y`` and ``z >= 1`` is allowed (tree roots have x = y).  The
+    walk counts prefixes of each length by (last point, signature so far),
+    as prefixes sharing both extend alike; desk scale only.
     """
     first = TreeLabel(*start)
     if not (1 <= first.x <= first.y and first.z >= 1):
         raise ValueError(f"invalid start {first}")
     rule_2143 = _require_tree_pattern(pattern)
     profile: CounterT[tuple[tuple[int, ...], int]] = Counter()
-    # one entry per path prefix: (last point, signature so far, points)
-    stack = [(first, (first.x,), 1)] if max_points >= 1 else []
-    while stack:
-        here, sig, points = stack.pop()
-        profile[(sig, points - len(sig))] += 1
-        if points == max_points:
-            continue
-        for child in successors(here, pattern):
-            if _records(here, child, rule_2143):
-                child_sig = sig + (child.x,)
-            else:
-                child_sig = sig
-            stack.append((child, child_sig, points + 1))
+    level = Counter({(first, (first.x,)): 1})
+    for points in range(1, max_points + 1):
+        grown: CounterT[tuple[TreeLabel, tuple[int, ...]]] = Counter()
+        for (here, sig), count in level.items():
+            profile[(sig, points - len(sig))] += count
+            if points == max_points:
+                continue
+            for child in successors(here, pattern):
+                if _records(here, child, rule_2143):
+                    grown[(child, sig + (child.x,))] += count
+                else:
+                    grown[(child, sig)] += count
+        level = grown
     return profile

@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, exit codes, manifests, determinism."""
 
+import csv
 import json
 from math import comb
 
@@ -218,7 +219,7 @@ class TestVerify:
             main(["verify", "--max-n", "3"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--max-n 3 exceeds the cost guard 2: about 177 containment checks" in err
+        assert "--max-n 3 exceeds the cost guard 2: about 118 containment checks" in err
         code, doc = run_json(capsys, "verify", "--max-n", "3", "--allow-long")
         assert code == 0
         assert {c["status"] for c in doc["rows"]} == {"pass"}
@@ -237,6 +238,55 @@ class TestVerify:
         assert code == 1
         failed = [c["name"] for c in doc["rows"] if c["status"] == "fail"]
         assert "cross-method[1234]" in failed or "cross-method[2143]" in failed
+
+    def test_type_d_is_read_off_the_rows(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scanned the type-D subgroup directly")
+
+        scans = []
+        true_counts = sigperm.oracle.avoider_counts
+
+        def counted(n, pattern, workers=None):
+            scans.append((n, str(pattern)))
+            return true_counts(n, pattern, workers=workers)
+
+        monkeypatch.setattr(sigperm.oracle, "type_d_avoiders", refuse)
+        monkeypatch.setattr(sigperm.oracle, "avoider_counts", counted)
+        code, doc = run_json(capsys, "verify", "--max-n", "4", "--threads", "1")
+        assert code == 0
+        assert {c["status"] for c in doc["rows"]} == {"pass"}
+        assert sorted(scans) == [(n, p) for n in range(5) for p in ("1234", "2143")]
+
+    def test_type_d_slice_names_each_route(self, capsys, monkeypatch):
+        true_series = sigperm.gf.avoider_count_from_series
+
+        def off_by_one(n, j, pattern):
+            # n - j even: the entry lies in the type-D slice
+            return true_series(n, j, pattern) + ((n, j, str(pattern)) == (2, 0, "2143"))
+
+        monkeypatch.setattr(sigperm.gf, "avoider_count_from_series", off_by_one)
+        code, doc = run_json(capsys, "verify", "--max-n", "3")
+        assert code == 1
+        (row,) = [c for c in doc["rows"] if c["name"] == "type-d-slice"]
+        assert row["status"] == "fail"
+        assert row["detail"] == (
+            "n=2: slices={'brute[1234]': 3, 'brute[2143]': 3, 'tree[1234]': 3, "
+            "'tree[2143]': 3, 'gf[1234]': 3, 'gf[2143]': 4}"
+        )
+
+    def test_failure_detail_survives_csv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sigperm.oracle, "egge_formula", lambda n: 0)
+        code, out = run(capsys, "verify", "--max-n", "2", "--format", "csv")
+        assert code == 1
+        _, doc = run_json(capsys, "verify", "--max-n", "2")
+        lines = out.splitlines()
+        assert lines[0].startswith("# manifest: ")
+        records = list(csv.reader(lines[1:]))
+        assert records[0] == ["name", "status", "detail"]
+        assert all(len(record) == 3 for record in records)
+        details = {r["name"]: r["detail"] for r in doc["rows"]}
+        assert details["egge-total"] == "n=0: totals={'1234': 1, '2143': 1} formula=0"
+        assert {name: detail for name, _, detail in records[1:]} == details
 
 
 class TestConjecture:

@@ -1,6 +1,7 @@
 """Truncated series, signatures, lattice paths, and the path series."""
 
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
@@ -51,6 +52,25 @@ def per_signature_count(n, j, pattern):
         cache.series(pattern, 0, j + 1, g).coefficient(r - len(g))
         for g in signatures(j + 1, r)
     )
+
+
+def enumerated_profile(pattern, start, max_points):
+    """The reference for ``path_profile``: every path one at a time, grown
+    by one classified step and bucketed by its signature."""
+    profile = Counter()
+
+    def extend(path):
+        sig = signature_of(path)
+        profile[(sig, len(path) - len(sig))] += 1
+        if len(path) < max_points:
+            here = path.points[-1]
+            for child in successors(here, pattern):
+                flag = is_recorded(here, child, pattern)
+                extend(LatticePath(path.points + (child,), path.recorded + (flag,)))
+
+    if max_points >= 1:
+        extend(path_from_points([start], pattern))
+    return profile
 
 
 class TestTruncatedSeries:
@@ -294,6 +314,20 @@ class TestPaths:
                     count for (sig, d), count in profile.items() if len(sig) + d == m
                 )
                 assert paths == levels[m - 1], (j, m)
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_profile_matches_path_enumeration(self, pattern):
+        # the starts of acceptance criterion 06
+        for x in range(1, 4):
+            for y in range(x, 5):
+                for z in range(1, 4):
+                    for max_points in (0, 1, 6):
+                        start = (x, y, z)
+                        expected = enumerated_profile(pattern, start, max_points)
+                        assert path_profile(pattern, start, max_points) == expected, (
+                            start,
+                            max_points,
+                        )
 
     def test_flag_layout_validated(self):
         with pytest.raises(ValueError):
