@@ -9,77 +9,11 @@ checkable is the point of the package.
 
 __version__ = "0.1.0"
 
-from .core import (
-    Occurrence,
-    Pattern,
-    SignedPermutation,
-    parse,
-    signed_permutations,
-)
-from .gentree import (
-    PermTreeNode,
-    TreeLabel,
-    active_sites,
-    build_tree,
-    children,
-    level_counts,
-    stats,
-    successors,
-    tree_root,
-)
-from .gf import (
-    LatticePath,
-    SeriesCache,
-    TruncatedSeries,
-    avoider_count_from_series,
-    f_series,
-    is_recorded,
-    path_from_points,
-    path_profile,
-    signature_of,
-    signatures,
-    validate_signature,
-)
-from .oracle import (
-    avoider_counts,
-    catalan,
-    classical_1234_formula,
-    classical_avoiders,
-    egge_formula,
-    type_d_avoiders,
-)
+# each module's __all__ is its public API; the package re-exports all four
+from . import core, gentree, gf, oracle
+from .core import *
+from .gentree import *
+from .gf import *
+from .oracle import *
 
-__all__ = [
-    "__version__",
-    "Occurrence",
-    "Pattern",
-    "SignedPermutation",
-    "parse",
-    "signed_permutations",
-    "PermTreeNode",
-    "TreeLabel",
-    "active_sites",
-    "build_tree",
-    "children",
-    "level_counts",
-    "stats",
-    "successors",
-    "tree_root",
-    "LatticePath",
-    "SeriesCache",
-    "TruncatedSeries",
-    "avoider_count_from_series",
-    "f_series",
-    "is_recorded",
-    "path_from_points",
-    "path_profile",
-    "signature_of",
-    "signatures",
-    "validate_signature",
-    "avoider_counts",
-    "catalan",
-    "classical_1234_formula",
-    "classical_avoiders",
-    "egge_formula",
-    "type_d_avoiders",
-]
+__all__ = ["__version__", *core.__all__, *gentree.__all__, *gf.__all__, *oracle.__all__]

@@ -10,7 +10,8 @@ tree        dump an explicit generating tree as JSON
 
 Counts serialize as decimal strings so consumers with 64-bit integers cannot
 overflow.  Exit codes: 0 all good, 1 a verification inequality was found,
-2 a usage, output or environment error.
+2 a usage, output or resource error; :func:`main` turns every failure
+after parsing into one stderr line and exit 2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import shlex
 import sys
 import time
@@ -51,7 +51,7 @@ def _emit(
 
     ``columns`` names the cells of ``body["rows"]`` for table and csv;
     ``table`` gives the table lines directly.  With neither, the payload is
-    JSON in every format.  Exits 2 when the output cannot be written.
+    JSON in every format.
     """
     manifest = {
         "command": shlex.join(args.argv),
@@ -89,24 +89,15 @@ def _emit(
                 for row in [list(columns), *cells]
             ]
             text = "\n".join([*lines, note]) + "\n"
-    try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        target = args.output or "stdout"
-        print(f"sigperm: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
-        sys.exit(2)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _guard_cost(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    option: str,
-    sizes: Sequence[int],
-    scans: int,
+    args: argparse.Namespace, option: str, sizes: Sequence[int], scans: int
 ) -> None:
     """Refuse a brute-force scan past ``BRUTE_GUARD`` unless ``--allow-long``;
     the estimate is one containment check per signed permutation of each
@@ -114,30 +105,17 @@ def _guard_cost(
     size = max(sizes)
     if size > BRUTE_GUARD and not args.allow_long:
         checks = scans * sum(2**n * math.factorial(n) for n in sizes)
-        parser.error(
+        raise ValueError(
             f"{option} {size} exceeds the cost guard {BRUTE_GUARD}: "
             f"about {checks} containment checks; "
             "pass --allow-long to run anyway"
         )
 
 
-def _resolve_workers(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _resolve_workers(args: argparse.Namespace) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    env = os.environ.get("SIGPERM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            parser.error(f"SIGPERM_THREADS={env!r} is not an integer")
     return oracle.usable_cpus()
-
-
-def _parse_pattern(parser: argparse.ArgumentParser, text: str) -> Pattern:
-    try:
-        return Pattern.parse(text)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _count_one(n: int, j: int, pattern: Pattern, method: str, workers: int) -> int:
@@ -148,30 +126,25 @@ def _count_one(n: int, j: int, pattern: Pattern, method: str, workers: int) -> i
     return gf.avoider_count_from_series(n, j, pattern)
 
 
-def cmd_count(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    pattern = _parse_pattern(parser, args.pattern)
+def cmd_count(args: argparse.Namespace) -> int:
+    pattern = Pattern.parse(args.pattern)
     method = args.method
     if args.n < 0:
-        parser.error("--n must be nonnegative")
-    if method in ("tree", "gf") and pattern not in gentree.TREE_PATTERNS:
-        parser.error(
-            f"method {method!r} supports only patterns 1234 and 2143, "
-            f"not {pattern}"
-        )
+        raise ValueError("--n must be nonnegative")
     if method == "formula":
         if str(pattern) != "1234":
-            parser.error("method 'formula' evaluates Egge's sum for 1234 only")
+            raise ValueError("method 'formula' evaluates Egge's sum for 1234 only")
         if args.j is not None:
-            parser.error(
+            raise ValueError(
                 "method 'formula' gives the total only; "
                 "the statistic-refined counts have no closed form here"
             )
     if args.j is not None and not 0 <= args.j <= args.n:
-        parser.error(f"--j {args.j} outside 0..{args.n}")
+        raise ValueError(f"--j {args.j} outside 0..{args.n}")
     if method == "brute":
-        _guard_cost(parser, args, "--n", [args.n], 1)
+        _guard_cost(args, "--n", [args.n], 1)
 
-    workers = _resolve_workers(parser, args)
+    workers = _resolve_workers(args)
     started = time.perf_counter()
     if method == "formula":
         cells = [(None, oracle.egge_formula(args.n))]
@@ -281,12 +254,12 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
     ]
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
-        parser.error("--max-n must be at least 1")
+        raise ValueError("--max-n must be at least 1")
     # one whole scan per pattern
-    _guard_cost(parser, args, "--max-n", range(args.max_n + 1), 2)
-    workers = _resolve_workers(parser, args)
+    _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
+    workers = _resolve_workers(args)
     started = time.perf_counter()
     checks = _verify_checks(args.max_n, workers)
     manifest = {
@@ -300,15 +273,15 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
-def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    p1 = _parse_pattern(parser, args.p1)
-    p2 = _parse_pattern(parser, args.p2)
+def cmd_conjecture(args: argparse.Namespace) -> int:
+    p1 = Pattern.parse(args.p1)
+    p2 = Pattern.parse(args.p2)
     if len(p1) != len(p2):
-        parser.error("the two patterns must have equal length")
+        raise ValueError("the two patterns must have equal length")
     if args.max_n < 1:
-        parser.error("--max-n must be at least 1")
-    _guard_cost(parser, args, "--max-n", range(args.max_n + 1), 2)
-    workers = _resolve_workers(parser, args)
+        raise ValueError("--max-n must be at least 1")
+    _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
+    workers = _resolve_workers(args)
     started = time.perf_counter()
     rows: list[dict[str, Any]] = []
     for n in range(args.max_n + 1):
@@ -335,27 +308,14 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return 0 if all(row["equal"] for row in rows) else 1
 
 
-def cmd_gf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    pattern = _parse_pattern(parser, args.pattern)
-    if args.format == "csv":
-        parser.error("csv applies to the tabular subcommands; use table or json")
-    if pattern not in gentree.TREE_PATTERNS:
-        parser.error(f"series exist only for patterns 1234 and 2143, not {pattern}")
-    try:
-        gamma = gf.validate_signature(
-            int(tok) for tok in args.gamma.split(",") if tok.strip()
-        )
-    except ValueError as exc:
-        parser.error(f"bad --gamma {args.gamma!r}: {exc}")
-    if args.k < 0 or args.q < 1 or args.degree < 0:
-        parser.error("need --k >= 0, --q >= 1, --degree >= 0")
+def cmd_gf(args: argparse.Namespace) -> int:
+    pattern = Pattern.parse(args.pattern)
+    gamma = tuple(int(tok) for tok in args.gamma.split(",") if tok.strip())
+    if args.q < 1:  # layers count from 1; the library gives 0 below that
+        raise ValueError("--q must be at least 1")
 
     started = time.perf_counter()
-    try:
-        series = gf.f_series(pattern, args.k, args.q, gamma, args.degree)
-    except ValueError as exc:  # a signature past gf.MAX_SIGNATURE_LENGTH
-        print(f"sigperm: --gamma: {exc}", file=sys.stderr)
-        sys.exit(2)
+    series = gf.f_series(pattern, args.k, args.q, gamma, args.degree)
     table = [str(series)]
     cross_check: dict[str, Any] | None = None
     start = (gamma[0], gamma[0] + args.k, args.q)
@@ -402,17 +362,10 @@ def _tree_as_dict(node: gentree.PermTreeNode) -> dict[str, Any]:
     }
 
 
-def cmd_tree(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    pattern = _parse_pattern(parser, args.pattern)
-    if args.format == "csv":
-        parser.error("csv applies to the tabular subcommands; use table or json")
-    if pattern not in gentree.TREE_PATTERNS:
-        parser.error(f"trees exist only for patterns 1234 and 2143, not {pattern}")
+def cmd_tree(args: argparse.Namespace) -> int:
+    pattern = Pattern.parse(args.pattern)
     started = time.perf_counter()
-    try:
-        root = gentree.build_tree(pattern, args.j, args.depth)
-    except ValueError as exc:
-        parser.error(str(exc))
+    root = gentree.build_tree(pattern, args.j, args.depth)
     manifest = {
         "patterns": [str(pattern)],
         "n_min": args.j,
@@ -432,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("table", "json", "csv"), default="table"
-        )
+    def common(
+        p: argparse.ArgumentParser, formats: Sequence[str] = ("table", "json", "csv")
+    ) -> None:
+        p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--output", help="write the payload to this file")
 
     def brute_force(p: argparse.ArgumentParser, option: str) -> None:
@@ -448,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help="brute-force worker processes "
-            "(default: SIGPERM_THREADS or all usable cores)",
+            help="brute-force worker processes (default: all usable cores)",
         )
 
     p_count = sub.add_parser("count", help="avoider counts for one size")
@@ -485,24 +437,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_gf.add_argument("--q", type=int, required=True)
     p_gf.add_argument("--gamma", required=True, help="comma-separated signature")
     p_gf.add_argument("--degree", type=int, default=8)
-    common(p_gf)
+    common(p_gf, ("table", "json"))
     p_gf.set_defaults(func=cmd_gf)
 
     p_tree = sub.add_parser("tree", help="dump an explicit tree as JSON")
     p_tree.add_argument("--pattern", required=True)
     p_tree.add_argument("--j", type=int, required=True)
     p_tree.add_argument("--depth", type=int, required=True)
-    common(p_tree)
+    common(p_tree, ("table", "json"))
     p_tree.set_defaults(func=cmd_tree)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; its exit code is 0 or 1.
+
+    Argparse reports a malformed command line.  Any exception a command
+    raises after that (bad input, an unwritable ``--output``, running out of
+    memory) becomes one stderr line and exit 2, so exit 1 always means a
+    found inequality.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.argv = ["sigperm"] + argv
-    return args.func(parser, args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # a ValueError is bad input; any other exception is named by type
+        parts = [] if isinstance(exc, ValueError) else [type(exc).__name__]
+        message = ": ".join(filter(None, [*parts, str(exc)]))
+        line = f"sigperm {args.subcommand}: error: {message}"
+        print(line.replace("\n", " "), file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -261,6 +261,18 @@ def standardize(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in values)
 
 
+def _insert_word(
+    word: tuple[int, ...], site: int, gap: int
+) -> tuple[tuple[int, ...], int]:
+    """The arithmetic of :meth:`SignedPermutation.insert` on a bare
+    negative-half word, without its range checks: the new word, and the
+    position of the new entry in it."""
+    shifted = [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in word]
+    cut = len(word) + 1 - site
+    shifted.insert(cut, gap)
+    return tuple(shifted), cut
+
+
 @dataclass(frozen=True)
 class SignedPermutation:
     """An element of the hyperoctahedral group, stored by its negative half.
@@ -344,12 +356,7 @@ class SignedPermutation:
             raise ValueError(f"site {site} outside 1..{n + 1}")
         if not 1 <= gap <= n + 1:
             raise ValueError(f"gap {gap} outside 1..{n + 1}")
-        shifted = [
-            v if abs(v) < gap else (v - 1 if v < 0 else v + 1)
-            for v in self.neg_images
-        ]
-        cut = n + 1 - site
-        return SignedPermutation(tuple(shifted[:cut] + [gap] + shifted[cut:]))
+        return SignedPermutation(_insert_word(self.neg_images, site, gap)[0])
 
 
 def parse(text: str) -> SignedPermutation:

@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .core import (
     Pattern,
     SignedPermutation,
+    _insert_word,
     find_occurrence_positions,
     find_occurrence_through,
 )
@@ -98,19 +99,16 @@ def _trial_avoids(
     """Insert into a bare negative-half word that avoids ``pattern`` and
     test whether the result still avoids it.
 
-    Same arithmetic as :meth:`SignedPermutation.insert`, minus the value-type
-    construction; trees try (sites x gaps) candidates per node and most are
-    thrown away, so the hot loop works on raw words.  A new occurrence must
-    use the new pair ``(gap, -gap)``, and reflecting through the origin maps
-    one through ``-gap`` onto one through ``gap``, because both tree
-    patterns are their own reverse complement; so only occurrences through
-    the ``gap`` entry are searched.  Returns the new word, or None when the
-    insertion creates the pattern.
+    The insertion is :meth:`SignedPermutation.insert`'s, without the
+    value-type construction; trees try (sites x gaps) candidates per node
+    and most are thrown away, so the hot loop works on raw words.  A new
+    occurrence must use the new pair ``(gap, -gap)``, and reflecting through
+    the origin maps one through ``-gap`` onto one through ``gap``, because
+    both tree patterns are their own reverse complement; so only
+    occurrences through the ``gap`` entry are searched.  Returns the new
+    word, or None when the insertion creates the pattern.
     """
-    shifted = [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in word]
-    cut = len(word) + 1 - site
-    shifted.insert(cut, gap)
-    new_word = tuple(shifted)
+    new_word, cut = _insert_word(word, site, gap)
     full = new_word + tuple(-v for v in reversed(new_word))
     if find_occurrence_through(full, pattern, cut) is None:
         return new_word

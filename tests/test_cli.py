@@ -119,17 +119,6 @@ class TestCount:
         assert doc1["manifest"]["workers"] == 1
         assert doc2["manifest"]["workers"] == 2
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGPERM_THREADS", "3")
-        _, doc = run_json(capsys, "count", "--n", "2", "--pattern", "1234")
-        assert doc["manifest"]["workers"] == 3
-
-    def test_invalid_threads_env_exits_two(self, monkeypatch):
-        monkeypatch.setenv("SIGPERM_THREADS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", "2", "--pattern", "1234"])
-        assert exc.value.code == 2
-
     def test_brute_guard_and_allow_long(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)
         with pytest.raises(SystemExit) as exc:
@@ -149,7 +138,6 @@ class TestCount:
         assert code == 0
 
     def test_default_workers_are_usable_cpus(self, capsys, monkeypatch):
-        monkeypatch.delenv("SIGPERM_THREADS", raising=False)
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 1)
         _, doc = run_json(capsys, "count", "--n", "2", "--pattern", "1234")
         assert doc["manifest"]["workers"] == 1
@@ -182,6 +170,11 @@ class TestUsageErrors:
                 "--gamma", "2", "--threads", "2",
             ),
             ("tree", "--pattern", "2143", "--j", "1", "--depth", "1", "--threads", "2"),
+            (
+                "gf", "--pattern", "2143", "--k", "0", "--q", "1",
+                "--gamma", "2", "--format", "csv",
+            ),
+            ("gf", "--pattern", "2143", "--k", "0", "--q", "1", "--gamma", "3,x"),
         ],
     )
     def test_exit_code_two(self, argv):
@@ -196,6 +189,19 @@ class TestUsageErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "more than the bound" in err
+
+    def test_crash_inside_a_command_exits_two_in_one_line(self, capsys, monkeypatch):
+        # exit 1 means an inequality was found, so a crash must not reach it
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(sigperm.gf, "f_series", exhausted)
+        with pytest.raises(SystemExit) as exc:
+            main(["gf", "--pattern", "2143", "--k", "0", "--q", "1", "--gamma", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["sigperm gf: error: MemoryError"]
 
 
 class TestVerify:
