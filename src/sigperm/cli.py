@@ -114,7 +114,9 @@ def _guard_cost(
 
 def _resolve_workers(args: argparse.Namespace) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        return args.threads
     return oracle.usable_cpus()
 
 

@@ -175,6 +175,8 @@ class TestUsageErrors:
                 "--gamma", "2", "--format", "csv",
             ),
             ("gf", "--pattern", "2143", "--k", "0", "--q", "1", "--gamma", "3,x"),
+            ("count", "--n", "2", "--pattern", "1234", "--threads", "0"),
+            ("count", "--n", "2", "--pattern", "1234", "--threads", "-3"),
         ],
     )
     def test_exit_code_two(self, argv):
@@ -231,15 +233,19 @@ class TestVerify:
         assert {c["status"] for c in doc["rows"]} == {"pass"}
 
     def test_injected_fault_is_caught_and_named(self, capsys, monkeypatch):
-        true_successors = sigperm.gentree.successors
+        # the rule's blocks feed both successors and the label DP; the extra
+        # block gives every label a child (x+1, y+1, zz) for zz <= z, so the
+        # root (1, 1, 1) gains (2, 2, 1)
+        true_blocks = sigperm.gentree._blocks
+        extra = sigperm.gentree._block("x+1, y+1, 1..z")
 
-        def corrupted(label, pattern):
-            out = true_successors(label, pattern)
-            if label == TreeLabel(1, 1, 1):
-                return out + [TreeLabel(2, 2, 1)]
-            return out
+        def corrupted(pattern):
+            return true_blocks(pattern) + (extra,)
 
-        monkeypatch.setattr(sigperm.gentree, "successors", corrupted)
+        monkeypatch.setattr(sigperm.gentree, "_blocks", corrupted)
+        assert TreeLabel(2, 2, 1) in sigperm.gentree.successors(
+            TreeLabel(1, 1, 1), sigperm.gentree.PATTERN_2143
+        )
         code, doc = run_json(capsys, "verify", "--max-n", "3")
         assert code == 1
         failed = [c["name"] for c in doc["rows"] if c["status"] == "fail"]

@@ -16,7 +16,9 @@ from sigperm.gentree import (
     successors,
     tree_root,
 )
-from sigperm.oracle import avoider_counts
+from sigperm.gentree import _block, _blocks, _next_level
+from sigperm.gf import avoider_count_from_series
+from sigperm.oracle import avoider_counts, classical_1234_formula, egge_formula
 
 P1234 = Pattern.parse("1234")
 P2143 = Pattern.parse("2143")
@@ -29,6 +31,15 @@ def tree_levels(root):
     while level:
         yield level
         level = [c for node in level for c in node.children]
+
+
+def plain_next_level(state, pattern):
+    """One label-DP step that lists every label's successors."""
+    nxt = Counter()
+    for label, mult in state.items():
+        for child in successors(label, pattern):
+            nxt[child] += mult
+    return nxt
 
 
 def successors_recursive(label, pattern):
@@ -201,8 +212,9 @@ class TestSuccessionRule:
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_iterative_matches_recursive(self, pattern):
+        # successors expands the rule's blocks
         for x in range(1, 6):
-            for y in range(x, 7):
+            for y in range(x, 8):
                 for z in range(1, 5):
                     label = TreeLabel(x, y, z)
                     assert Counter(successors(label, pattern)) == Counter(
@@ -230,6 +242,18 @@ class TestSuccessionRule:
             successors(TreeLabel(3, 2, 1), P2143)
         with pytest.raises(ValueError):
             successors(TreeLabel(1, 1, 0), P2143)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x, y, z",  # no summed range
+            "2..x+1, x+1..y, z",  # a lower end reads a summed coordinate
+            "2..x+1, 1, 1..x",  # one coordinate bounds two summed ranges
+        ],
+    )
+    def test_block_the_dp_cannot_sum_is_refused(self, text):
+        with pytest.raises(ValueError, match="cannot sum"):
+            _block(text)
 
 
 class TestTreeIsomorphism:
@@ -370,11 +394,33 @@ class TestLevelCounts:
             j = 2
             state = {TreeLabel(j + 1, j + 1, j + 1): 1}
             for depth in range(5):
-                nxt = Counter()
-                for label, mult in state.items():
-                    for child in successors(label, pattern):
-                        nxt[child] += mult
-                state = nxt
-                for label in state:
-                    assert 1 <= label.x <= label.y <= j + depth + 3
-                    assert 1 <= label.z <= j + 1
+                state = _next_level(state, _blocks(pattern))
+                for x, y, z in state:
+                    assert 1 <= x <= y <= j + depth + 3
+                    assert 1 <= z <= j + 1
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_block_sums_match_plain_expansion(self, pattern):
+        # the reference lists every label's successors, one label at a time
+        for j in range(5):
+            plain = summed = {TreeLabel(j + 1, j + 1, j + 1): 1}
+            sizes = [1]
+            for _ in range(8):
+                plain = plain_next_level(plain, pattern)
+                summed = _next_level(summed, _blocks(pattern))
+                assert summed == dict(plain)
+                sizes.append(sum(plain.values()))
+            assert level_counts(pattern, j, 8) == sizes
+
+    def test_far_row_agrees_with_series_and_formulas(self):
+        # n = 20 is out of a test's reach when the DP lists every child label
+        n = 20
+        rows = {}
+        for pattern in BOTH:
+            row = [level_counts(pattern, j, n - j)[-1] for j in range(n + 1)]
+            series = [avoider_count_from_series(n, j, pattern) for j in range(n + 1)]
+            assert row == series
+            rows[str(pattern)] = row
+        assert rows["1234"] == rows["2143"]
+        assert sum(rows["1234"]) == egge_formula(n)
+        assert rows["1234"][0] == classical_1234_formula(n)
