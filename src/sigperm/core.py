@@ -15,7 +15,6 @@ a classical pattern exactly when the full length-``2n`` image sequence
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 __all__ = [
@@ -29,24 +28,64 @@ __all__ = [
 MAX_PATTERN_LENGTH = 9  # keeps the digit-string notation ("2143") unambiguous
 
 
-@dataclass(frozen=True)
-class Pattern:
+class _Frozen:
+    """What the immutable value classes share: assignment and deletion
+    raise ``AttributeError``, the repr is a constructor call, and pickling
+    goes back through the constructor, so it validates again.
+
+    A subclass lists its constructor's parameters in ``_fields`` and stores
+    them with ``object.__setattr__`` in ``__init__``; its ``__eq__`` and
+    ``__hash__`` compare those fields directly, and only between instances
+    of the same class.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Pattern(_Frozen):
     """A classical permutation pattern, stored in one-line notation.
 
     >>> Pattern.parse("2143").values
     (2, 1, 4, 3)
     >>> len(Pattern.parse("2,1,4,3"))
     4
+    >>> Pattern([2, 1, 4, 3])
+    Pattern(values=(2, 1, 4, 3))
     """
 
+    __slots__ = _fields = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        k = len(self.values)
+    def __init__(self, values: Sequence[int]) -> None:
+        values = tuple(values)
+        k = len(values)
         if not 1 <= k <= MAX_PATTERN_LENGTH:
             raise ValueError(f"pattern length {k} outside 1..{MAX_PATTERN_LENGTH}")
-        if sorted(self.values) != list(range(1, k + 1)):
-            raise ValueError(f"{self.values} is not a permutation of 1..{k}")
+        if sorted(values) != list(range(1, k + 1)):
+            raise ValueError(f"{values} is not a permutation of 1..{k}")
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
@@ -79,12 +118,24 @@ class Pattern:
         return Pattern(tuple(k + 1 - v for v in reversed(self.values)))
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(_Frozen):
     """A witness occurrence of a pattern: the signed indices, increasing."""
 
+    __slots__ = _fields = ("indices", "values")
     indices: tuple[int, ...]
     values: tuple[int, ...]
+
+    def __init__(self, indices: Sequence[int], values: Sequence[int]) -> None:
+        object.__setattr__(self, "indices", tuple(indices))
+        object.__setattr__(self, "values", tuple(values))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.indices == other.indices and self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.indices, self.values))
 
 
 def _containment_plan(
@@ -273,33 +324,46 @@ def _insert_word(
     return tuple(shifted), cut
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Frozen):
     """An element of the hyperoctahedral group, stored by its negative half.
 
     ``neg_images[t]`` is the image of ``-(n - t)`` for ``t = 0..n-1``, i.e.
-    the one-line word ``[w(-n), ..., w(-1)]``.
+    the one-line word ``[w(-n), ..., w(-1)]``; ``n`` is its length.
 
     >>> w = parse("[-3,4,2,1]")
     >>> w.image(-3), w.image(3)
     (4, -4)
     >>> str(w)
     '[-3,4,2,1]'
+    >>> SignedPermutation([1, 2]) == parse("[1,2]")
+    True
     """
 
+    __slots__ = ("neg_images", "n")
+    _fields = ("neg_images",)
     neg_images: tuple[int, ...]
-    n: int = field(init=False)
+    n: int
 
-    def __post_init__(self) -> None:
-        n = len(self.neg_images)
-        object.__setattr__(self, "n", n)
+    def __init__(self, neg_images: Sequence[int]) -> None:
+        neg_images = tuple(neg_images)
+        n = len(neg_images)
         seen = set()
-        for v in self.neg_images:
+        for v in neg_images:
             if not isinstance(v, int) or v == 0 or abs(v) > n:
                 raise ValueError(f"entry {v!r} out of range for size {n}")
             if abs(v) in seen:
                 raise ValueError(f"repeated absolute value {abs(v)}")
             seen.add(abs(v))
+        object.__setattr__(self, "neg_images", neg_images)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.neg_images == other.neg_images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.neg_images)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.neg_images) + "]"

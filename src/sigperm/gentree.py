@@ -25,7 +25,6 @@ coordinates, in time about linear in the number of labels per level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, product
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
@@ -379,13 +378,41 @@ def _next_level(
     return nxt
 
 
-@dataclass
 class PermTreeNode:
-    """A node of the explicit permutation-labeled tree, with its label."""
+    """A node of the explicit permutation-labeled tree, with its label.
 
-    perm: SignedPermutation
-    label: TreeLabel
-    children: list["PermTreeNode"] = field(default_factory=list)
+    Mutable, and equal to another node with equal fields; a node made
+    without ``children`` gets a new empty list.
+    """
+
+    __slots__ = ("perm", "label", "children")
+
+    def __init__(
+        self,
+        perm: SignedPermutation,
+        label: TreeLabel,
+        children: list[PermTreeNode] | None = None,
+    ) -> None:
+        self.perm = perm
+        self.label = label
+        self.children = [] if children is None else children
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (
+                self.perm == other.perm
+                and self.label == other.label
+                and self.children == other.children
+            )
+        return NotImplemented
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self) -> str:
+        return (
+            f"PermTreeNode(perm={self.perm!r}, label={self.label!r}, "
+            f"children={self.children!r})"
+        )
 
 
 def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:

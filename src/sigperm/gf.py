@@ -40,13 +40,12 @@ Series arithmetic never leaves truncated integer polynomials.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Counter as CounterT, Iterable
 
 from collections import Counter
 
-from .core import Pattern
+from .core import Pattern, _Frozen
 from .gentree import TreeLabel, _require_tree_pattern, successors
 
 __all__ = [
@@ -64,19 +63,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """A polynomial in ``t`` truncated at a fixed degree bound.
 
     Coefficients are exact integers and may go negative in intermediate
     expressions; the final path series are nonnegative.
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a truncated series needs at least degree 0")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree_bound(self) -> int:
@@ -325,18 +334,30 @@ def avoider_count_from_series(n: int, j: int, pattern: Pattern) -> int:
 # explicit paths: the desk-scale oracle for the series recursion
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(_Frozen):
     """A label sequence following a succession rule, with per-step flags."""
 
+    __slots__ = _fields = ("points", "recorded")
     points: tuple[TreeLabel, ...]
     recorded: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: Iterable[TreeLabel], recorded: Iterable[bool]) -> None:
+        points = tuple(points)
+        recorded = tuple(recorded)
+        if not points:
             raise ValueError("a path has at least one point")
-        if len(self.recorded) != len(self.points) - 1:
+        if len(recorded) != len(points) - 1:
             raise ValueError("need one recorded flag per step")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "recorded", recorded)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.points == other.points and self.recorded == other.recorded
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.recorded))
 
     def __len__(self) -> int:
         return len(self.points)

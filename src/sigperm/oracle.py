@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from math import comb
 
@@ -24,6 +23,12 @@ __all__ = [
     "classical_avoiders",
     "usable_cpus",
 ]
+
+
+# concurrent.futures.ProcessPoolExecutor, bound by the first pooled scan: the
+# pool machinery (multiprocessing, logging, socket) costs start-up time that no
+# serial command needs.  Tests and perfbench's tracer may bind a stand-in first.
+ProcessPoolExecutor = None
 
 
 def usable_cpus() -> int:
@@ -113,6 +118,9 @@ def avoider_counts(
         firsts = [v for v in range(-n, n + 1) if v != 0]
         counts = [0] * (n + 1)
         pool_size = min(workers, len(firsts), usable_cpus())
+        global ProcessPoolExecutor
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for block in pool.map(
                 _count_row,
