@@ -143,10 +143,11 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
     if args.j is not None and not 0 <= args.j <= args.n:
         raise ValueError(f"--j {args.j} outside 0..{args.n}")
-    if method == "brute":
-        _guard_cost(args, "--n", [args.n], 1)
-
     workers = _resolve_workers(args)
+    if method == "brute":
+        # a pooled scan is not cached, so a pooled row scans once per j
+        pooled_row = workers > 1 and args.j is None
+        _guard_cost(args, "--n", [args.n], args.n + 1 if pooled_row else 1)
     started = time.perf_counter()
     if method == "formula":
         cells = [(None, oracle.egge_formula(args.n))]

@@ -14,12 +14,10 @@ a classical pattern exactly when the full length-``2n`` image sequence
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 __all__ = [
     "Pattern",
-    "Occurrence",
     "SignedPermutation",
     "parse",
     "signed_permutations",
@@ -118,26 +116,6 @@ class Pattern(_Frozen):
         return Pattern(tuple(k + 1 - v for v in reversed(self.values)))
 
 
-class Occurrence(_Frozen):
-    """A witness occurrence of a pattern: the signed indices, increasing."""
-
-    __slots__ = _fields = ("indices", "values")
-    indices: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __init__(self, indices: Sequence[int], values: Sequence[int]) -> None:
-        object.__setattr__(self, "indices", tuple(indices))
-        object.__setattr__(self, "values", tuple(values))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.indices == other.indices and self.values == other.values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.indices, self.values))
-
-
 def _containment_plan(
     pattern: Pattern, order: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -165,16 +143,62 @@ def _containment_plan(
     return tuple(lo), tuple(hi)
 
 
-_PLAN_CACHE: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+def _nested_loops(pattern: Pattern, t: int) -> list[str]:
+    """Source lines of a backtracking search for ``pattern`` in ``seq``,
+    one ``for`` loop per pattern index.
+
+    With ``t >= 0``, index ``t`` is already matched to ``p{t} = pin`` and
+    the search starts there; the other indices follow left to right
+    (``t = -1``: all of them).  Index ``i`` runs its position ``p{i}`` up to
+    the last one that leaves room for the indices between it and ``pin``,
+    or after it, and keeps the value ``v{i} = seq[p{i}]`` only between the
+    two bounds of :func:`_containment_plan`.  The innermost loop returns the
+    positions.  Each loop and test indents the lines after it one level.
+    """
+    k = len(pattern)
+    order = [i for i in range(k) if i != t]
+    if t >= 0:
+        order.insert(0, t)
+    lo, hi = _containment_plan(pattern, order)
+    lines = []
+    pad = ""
+    for d, i in enumerate(order):
+        if i == t:
+            continue
+        start = f"p{i - 1} + 1" if i else "0"
+        end, room = ("pin", t - 1 - i) if i < t else ("n", k - 1 - i)
+        stop = f"{end} - {room}" if room else end
+        lines += [f"{pad}for p{i} in range({start}, {stop}):", f"{pad}    v{i} = seq[p{i}]"]
+        pad += "    "
+        chain = [f"v{i}"]
+        if lo[d] >= 0:
+            chain.insert(0, f"v{lo[d]}")
+        if hi[d] >= 0:
+            chain.append(f"v{hi[d]}")
+        if len(chain) > 1:
+            lines.append(f"{pad}if {' < '.join(chain)}:")
+            pad += "    "
+    positions = ", ".join(f"p{i}" for i in range(k))
+    return [*lines, f"{pad}return [{positions}]"]
 
 
-def _plan_for(pattern: Pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    plan = _PLAN_CACHE.get(pattern.values)
-    if plan is None:
-        plan = _PLAN_CACHE[pattern.values] = _containment_plan(
-            pattern, range(len(pattern))
-        )
-    return plan
+def _compile(name: str, lines: list[str]) -> Callable:
+    """Define the function ``name`` from generated source lines."""
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<sigperm {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _compiled_search(pattern: Pattern) -> Callable:
+    """``search(seq)``: the search of :func:`find_occurrence_positions`."""
+    loops = _nested_loops(pattern, -1)
+    return _compile(
+        "search",
+        ["def search(seq):", "    n = len(seq)", *(f"    {line}" for line in loops), "    return None"],
+    )
+
+
+_SEARCHES: dict[tuple[int, ...], Callable] = {}
 
 
 def find_occurrence_positions(
@@ -182,62 +206,57 @@ def find_occurrence_positions(
 ) -> Optional[list[int]]:
     """First (lexicographically) occurrence of ``pattern`` in ``seq``.
 
-    Backtracking over positions with prefix order-isomorphism pruning; worst
-    case ``O(len(seq) ** len(pattern))`` but heavily pruned in practice.
-    Values of ``seq`` must be distinct; only comparisons are used.
+    A backtracking search over positions with prefix order-isomorphism
+    pruning, compiled once per pattern (and per process) into plain nested
+    ``for`` loops, one per pattern index: each loop tests its value against
+    the matches of the largest smaller and the smallest larger earlier
+    pattern entry.  Worst case ``O(len(seq) ** len(pattern))``, heavily
+    pruned in practice.  Values of ``seq`` must be distinct; only
+    comparisons are used.  Returns the increasing positions, or ``None``.
     """
-    k = len(pattern)
-    n_seq = len(seq)
-    if n_seq < k:
-        return None
-    plan_lo, plan_hi = _plan_for(pattern)
-    pos = [0] * k
-    vals = [0] * k
-    d = 0
-    p = 0
-    limit = n_seq - k
-    while True:
-        if p > limit + d:
-            d -= 1
-            if d < 0:
-                return None
-            p = pos[d] + 1
-            continue
-        v = seq[p]
-        lo = plan_lo[d]
-        hi = plan_hi[d]
-        if (lo < 0 or vals[lo] < v) and (hi < 0 or v < vals[hi]):
-            pos[d] = p
-            vals[d] = v
-            d += 1
-            if d == k:
-                return pos
-        p += 1
+    search = _SEARCHES.get(pattern.values)
+    if search is None:
+        search = _SEARCHES[pattern.values] = _compiled_search(pattern)
+    return search(seq)
 
 
-def _pinned_plans(pattern: Pattern) -> tuple[tuple, ...]:
-    """Per pattern index ``t``: what matching entry ``t`` first needs.
+def _compiled_through(pattern: Pattern) -> Callable:
+    """``through(seq, pin)``: the search of :func:`find_occurrence_through`.
 
-    Each plan holds ``t``; how many other entries lie left-below,
-    left-above, right-below and right-above it; and the search order,
-    ``t`` and then the other indices left to right, with its per-depth
-    bounds.
+    The quadrant counts around ``pin`` come first.  Then, per pattern index
+    ``t``, a test that each quadrant holds the entries the pattern needs
+    there guards the nested loops with ``t`` matched to ``pin``; the other
+    indices follow left to right, confined to their side of ``pin``.
     """
     pat = pattern.values
-    plans = []
+    lines = [
+        "def through(seq, pin):",
+        "    n = len(seq)",
+        "    pv = seq[pin]",
+        "    below = pv.__gt__",  # v < pv, counted without a Python-level loop
+        "    lb = sum(map(below, seq[:pin]))",
+        "    rb = sum(map(below, seq[pin + 1:]))",
+        "    la = pin - lb",
+        "    ra = n - 1 - pin - rb",
+    ]
     for t, pt in enumerate(pat):
-        quadrants = (
-            sum(1 for v in pat[:t] if v < pt),
-            sum(1 for v in pat[:t] if v > pt),
-            sum(1 for v in pat[t + 1 :] if v < pt),
-            sum(1 for v in pat[t + 1 :] if v > pt),
-        )
-        order = (t, *(i for i in range(len(pat)) if i != t))
-        plans.append((t, quadrants, order, *_containment_plan(pattern, order)))
-    return tuple(plans)
+        quadrants = {
+            "lb": sum(1 for v in pat[:t] if v < pt),
+            "la": sum(1 for v in pat[:t] if v > pt),
+            "rb": sum(1 for v in pat[t + 1 :] if v < pt),
+            "ra": sum(1 for v in pat[t + 1 :] if v > pt),
+        }
+        needs = " and ".join(f"{q} >= {need}" for q, need in quadrants.items() if need)
+        pad = "    "
+        if needs:
+            lines.append(f"{pad}if {needs}:")
+            pad += "    "
+        body = [f"p{t} = pin", f"v{t} = pv", *_nested_loops(pattern, t)]
+        lines += [pad + line for line in body]
+    return _compile("through", [*lines, "    return None"])
 
 
-_PINNED_CACHE: dict[tuple[int, ...], tuple[tuple, ...]] = {}
+_THROUGHS: dict[tuple[int, ...], Callable] = {}
 
 
 def find_occurrence_through(
@@ -245,64 +264,23 @@ def find_occurrence_through(
 ) -> Optional[list[int]]:
     """An occurrence of ``pattern`` in ``seq`` that uses position ``pin``.
 
-    One backtracking pass per pattern index ``t``, with ``t`` matched to
-    ``pin`` before the others, so ``seq[pin]`` bounds the value of every
-    later depth and the positions of each side are confined to their side
-    of ``pin``.  A pass is skipped when one of the four quadrants around
-    ``pin`` holds fewer entries of ``seq`` than the pattern needs there.
-    This is the check for a word grown by one point from a word that
+    Compiled once per pattern (and per process) into one function that, per
+    pattern index ``t``, runs plain nested ``for`` loops with ``t`` matched
+    to ``pin`` before the others, so ``seq[pin]`` bounds the value of every
+    later index and the positions of each side are confined to their side
+    of ``pin``.  An index ``t`` is skipped when one of the four quadrants
+    around ``pin`` holds fewer entries of ``seq`` than the pattern needs
+    there.  This is the check for a word grown by one point from a word that
     avoided ``pattern``: any new occurrence uses the new point.  Returns the
     increasing positions, or ``None``.
     """
     n_seq = len(seq)
     if not 0 <= pin < n_seq:
         raise IndexError(f"pin {pin} outside 0..{n_seq - 1}")
-    plans = _PINNED_CACHE.get(pattern.values)
-    if plans is None:
-        plans = _PINNED_CACHE[pattern.values] = _pinned_plans(pattern)
-    k = len(pattern)
-    pivot = seq[pin]
-    below = pivot.__gt__  # v < pivot, counted without a Python-level loop
-    left_below = sum(map(below, seq[:pin]))
-    right_below = sum(map(below, seq[pin + 1 :]))
-    left_above = pin - left_below
-    right_above = n_seq - 1 - pin - right_below
-    for t, (ll, la, rl, ra), order, plan_lo, plan_hi in plans:
-        if ll > left_below or la > left_above or rl > right_below or ra > right_above:
-            continue
-        pos = [0] * k
-        vals = [0] * k
-        pos[t] = pin
-        vals[t] = pivot
-        if k == 1:
-            return pos
-        # last usable position per index: left of pin, or right of it
-        limit = [pin - t + i if i < t else n_seq - k + i for i in range(k)]
-        d = 1
-        i = order[1]
-        p = 0 if i == 0 else pin + 1
-        while True:
-            if p > limit[i]:
-                d -= 1
-                if d < 1:
-                    break
-                i = order[d]
-                p = pos[i] + 1
-                continue
-            v = seq[p]
-            lo = plan_lo[d]
-            hi = plan_hi[d]
-            if (lo < 0 or vals[lo] < v) and (hi < 0 or v < vals[hi]):
-                pos[i] = p
-                vals[i] = v
-                d += 1
-                if d == k:
-                    return pos
-                i = order[d]
-                p = pos[i - 1] + 1
-                continue
-            p += 1
-    return None
+    through = _THROUGHS.get(pattern.values)
+    if through is None:
+        through = _THROUGHS[pattern.values] = _compiled_through(pattern)
+    return through(seq, pin)
 
 
 def standardize(values: Sequence[int]) -> tuple[int, ...]:
@@ -392,15 +370,6 @@ class SignedPermutation(_Frozen):
         """
         return sum(1 for v in self.neg_images if v < 0)
 
-    def occurrence_of(self, pattern: Pattern) -> Optional[Occurrence]:
-        """A witness occurrence of ``pattern``, or ``None`` if avoided."""
-        seq = self.full_images()
-        pos = find_occurrence_positions(seq, pattern)
-        if pos is None:
-            return None
-        indices = tuple(p - self.n if p < self.n else p - self.n + 1 for p in pos)
-        return Occurrence(indices, tuple(seq[p] for p in pos))
-
     def contains(self, pattern: Pattern) -> bool:
         return find_occurrence_positions(self.full_images(), pattern) is not None
 
@@ -447,21 +416,15 @@ def parse(text: str) -> SignedPermutation:
     return SignedPermutation(tuple(entries))
 
 
-def _negative_halves(
-    n: int, prefix: tuple[int, ...] = ()
-) -> Iterator[tuple[int, ...]]:
+def _negative_halves(n: int) -> Iterator[tuple[int, ...]]:
     """All valid negative-half words of size ``n``, lexicographically.
 
     Entries are compared as integers (-n < ... < -1 < 1 < ... < n), so the
-    order is stable for test fixtures.  A ``prefix`` restricts the scan to
-    the words extending it, which is how exhaustive counts are partitioned
-    across workers.
+    order is stable for test fixtures.
     """
     values = [v for v in range(-n, n + 1) if v != 0]
     used = [False] * (n + 1)
-    for v in prefix:
-        used[abs(v)] = True
-    word = list(prefix)
+    word: list[int] = []
 
     def rec() -> Iterator[tuple[int, ...]]:
         if len(word) == n:
@@ -489,17 +452,3 @@ def signed_permutations(n: int) -> Iterator[SignedPermutation]:
         raise ValueError("size must be nonnegative")
     for word in _negative_halves(n):
         yield SignedPermutation(word)
-
-
-def contains_naive(w: SignedPermutation, pattern: Pattern) -> bool:
-    """Independent containment oracle: try every index combination.
-
-    Deliberately exhaustive (no pruning); kept for cross-checking the
-    backtracking search on small sizes.
-    """
-    seq = w.full_images()
-    k = len(pattern)
-    for combo in itertools.combinations(seq, k):
-        if standardize(combo) == pattern.values:
-            return True
-    return False

@@ -11,6 +11,7 @@ import itertools
 import os
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .core import Pattern, find_occurrence_positions, _negative_halves
 
@@ -84,14 +85,28 @@ def _count_row(n: int, pattern_values: tuple[int, ...], first: int | None) -> li
 
     With ``first`` set, only negative halves starting with that image are
     scanned (the parallel partition); with ``first=None`` the whole group is.
+    Each word is built flat: an ordering of the absolute values, mirrored
+    into the full image sequence, times one of the precomputed sign
+    vectors, whose statistic j is precomputed with it.
     """
     pattern = Pattern(pattern_values)
-    prefix = () if first is None else (first,)
+    if first is None:
+        head, head_signs, rest = (), (), range(1, n + 1)
+    else:
+        head, head_signs = (abs(first),), (1 if first > 0 else -1,)
+        rest = [a for a in range(1, n + 1) if a != abs(first)]
+    sign_vectors = []
+    for tail in itertools.product((1, -1), repeat=len(rest)):
+        signs = head_signs + tail
+        mirrored = signs + tuple(-s for s in reversed(signs))
+        sign_vectors.append((mirrored, signs.count(-1)))
     counts = [0] * (n + 1)
-    for word in _negative_halves(n, prefix):
-        full = word + tuple(-v for v in reversed(word))
-        if find_occurrence_positions(full, pattern) is None:
-            counts[sum(1 for v in word if v < 0)] += 1
+    for tail in itertools.permutations(rest):
+        perm = head + tail
+        images = perm + perm[::-1]
+        for mirrored, j in sign_vectors:
+            if find_occurrence_positions(tuple(map(mul, images, mirrored)), pattern) is None:
+                counts[j] += 1
     return counts
 
 

@@ -122,7 +122,7 @@ class TestCount:
     def test_brute_guard_and_allow_long(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", "3", "--pattern", "1234"])
+            main(["count", "--n", "3", "--pattern", "1234", "--threads", "1"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--n 3 exceeds the cost guard 2: about 48 containment checks" in err
@@ -136,6 +136,20 @@ class TestCount:
             capsys, "count", "--n", "3", "--pattern", "1234", "--method", "tree"
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "extra, checks",
+        [(["--threads", "2"], 4 * 48), (["--threads", "2", "--j", "1"], 48), ([], 4 * 48)],
+    )
+    def test_brute_guard_counts_pooled_rescans(self, capsys, monkeypatch, extra, checks):
+        # a pooled row scans the group once per j; one cell, or one thread,
+        # scans it once
+        monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "3", "--pattern", "1234", *extra])
+        assert exc.value.code == 2
+        assert f"about {checks} containment checks" in capsys.readouterr().err
 
     def test_default_workers_are_usable_cpus(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 1)

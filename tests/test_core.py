@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sigperm.core import (
-    Occurrence,
+    MAX_PATTERN_LENGTH,
     Pattern,
     SignedPermutation,
-    contains_naive,
     find_occurrence_positions,
     find_occurrence_through,
     parse,
@@ -29,6 +28,21 @@ def signed_perms(draw, max_n=4):
     perm = draw(st.permutations(list(range(1, n + 1))))
     signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return SignedPermutation(tuple(-v if s else v for v, s in zip(perm, signs)))
+
+
+def first_occurrence(seq, pattern):
+    """Reference kernel: the first combination of positions, in
+    ``itertools.combinations`` (lexicographic) order, whose values
+    standardize to the pattern.  Deliberately exhaustive, no pruning."""
+    for combo in itertools.combinations(range(len(seq)), len(pattern)):
+        if standardize([seq[p] for p in combo]) == pattern.values:
+            return list(combo)
+    return None
+
+
+def contains_naive(w, pattern):
+    """Reference containment: some combination of entries is an occurrence."""
+    return first_occurrence(w.full_images(), pattern) is not None
 
 
 class TestParse:
@@ -117,14 +131,14 @@ class TestContains:
 
     def test_witness_is_an_occurrence(self):
         w = SignedPermutation((1, -2))
-        occ = w.occurrence_of(Pattern.parse("231"))
-        assert isinstance(occ, Occurrence)
-        assert list(occ.indices) == sorted(occ.indices)
-        assert standardize(occ.values) == (2, 3, 1)
-        assert all(w.image(i) == v for i, v in zip(occ.indices, occ.values))
+        seq = w.full_images()
+        pos = find_occurrence_positions(seq, Pattern.parse("231"))
+        assert pos == sorted(set(pos)) and len(pos) == 3
+        assert standardize([seq[p] for p in pos]) == (2, 3, 1)
 
     def test_no_witness_when_avoiding(self):
-        assert SignedPermutation((1, -2)).occurrence_of(Pattern.parse("123")) is None
+        w = SignedPermutation((1, -2))
+        assert find_occurrence_positions(w.full_images(), Pattern.parse("123")) is None
 
     def test_matches_naive_oracle_exhaustively(self):
         pats = [Pattern.parse(p) for p in ("123", "231", "1234", "2143", "1243")]
@@ -136,6 +150,48 @@ class TestContains:
     def test_matches_naive_oracle_random(self, w, pat_text):
         pat = Pattern.parse(pat_text)
         assert w.contains(pat) == contains_naive(w, pat)
+
+
+class TestFirstOccurrence:
+    """The kernel returns the lexicographically first occurrence."""
+
+    def test_every_short_pattern_on_every_small_word(self):
+        words = [w.full_images() for n in range(4) for w in signed_permutations(n)]
+        for k in range(1, 6):
+            for values in itertools.permutations(range(1, k + 1)):
+                pattern = Pattern(values)
+                for seq in words:
+                    assert find_occurrence_positions(seq, pattern) == first_occurrence(
+                        seq, pattern
+                    ), (seq, pattern)
+
+    @given(
+        st.lists(st.integers(-30, 30), max_size=10, unique=True),
+        st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
+    )
+    def test_random_sequences(self, seq, values):
+        pattern = Pattern(values)
+        assert find_occurrence_positions(seq, pattern) == first_occurrence(seq, pattern)
+
+    def test_sequence_shorter_than_pattern(self):
+        assert find_occurrence_positions((), Pattern.parse("1")) is None
+        assert find_occurrence_positions((2, 1, 3), P2143) is None
+        assert find_occurrence_positions(SignedPermutation((1,)).full_images(), P1234) is None
+
+    @given(st.permutations(range(12)), st.sets(st.integers(0, 11), min_size=9, max_size=9))
+    def test_longest_pattern(self, seq, sites):
+        # the deepest nesting: rearrange the values at nine sites into the
+        # pattern, so the sequence contains it, maybe more than once
+        pattern = Pattern.parse("316289457")
+        assert len(pattern) == MAX_PATTERN_LENGTH
+        sites = sorted(sites)
+        chosen = sorted(seq[p] for p in sites)
+        seq = list(seq)
+        for p, rank in zip(sites, pattern.values):
+            seq[p] = chosen[rank - 1]
+        got = find_occurrence_positions(seq, pattern)
+        assert got is not None and got == first_occurrence(seq, pattern)
+        assert find_occurrence_positions(seq[:8], pattern) is None
 
 
 # 132 and 1243 are not their own reverse complement; the others are

@@ -26,3 +26,11 @@ def test_package_exports_are_the_module_objects():
         owners = [m for m in modules if name in m.__all__]
         assert len(owners) == 1, name
         assert getattr(sigperm, name) is getattr(owners[0], name), name
+
+
+def test_test_only_api_stays_out():
+    # the kernel's reference lives in tests/test_core.py; witnesses are the
+    # positions find_occurrence_positions returns
+    core = importlib.import_module("sigperm.core")
+    assert not hasattr(core, "Occurrence") and not hasattr(core, "contains_naive")
+    assert not hasattr(core.SignedPermutation, "occurrence_of")

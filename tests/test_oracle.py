@@ -1,10 +1,16 @@
 """Brute-force counts and the closed-form evaluators."""
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from math import comb, factorial
+
 import pytest
 
 import sigperm.oracle
 from sigperm.core import Pattern
 from sigperm.oracle import (
+    _count_row,
     avoider_counts,
     catalan,
     classical_1234_formula,
@@ -89,6 +95,35 @@ class TestBruteForce:
             assert sum(avoider_counts(n, P1234)) == egge_formula(n)
 
 
+class TestFlatEnumeration:
+    """A pattern longer than the 2n entries of a word is avoided by every
+    word, so each count is the size of its slice of the group."""
+
+    LONG = Pattern.parse("123456789").values
+
+    @staticmethod
+    def _binomial(m, i):
+        return comb(m, i) if i >= 0 else 0
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_whole_row(self, n):
+        assert _count_row(n, self.LONG, None) == [
+            comb(n, j) * factorial(n) for j in range(n + 1)
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_blocks_sum_to_the_row(self, n):
+        blocks = []
+        for first in (v for v in range(-n, n + 1) if v):
+            block = _count_row(n, self.LONG, first)
+            assert block == [
+                self._binomial(n - 1, j - (first < 0)) * factorial(n - 1)
+                for j in range(n + 1)
+            ], first
+            blocks.append(block)
+        assert [sum(col) for col in zip(*blocks)] == _count_row(n, self.LONG, None)
+
+
 class TestTypeD:
     def test_d2(self):
         assert type_d_avoiders(2, P1234) == 3
@@ -136,3 +171,12 @@ class TestParallel:
         assert avoider_counts(3, P2143, workers=workers) == avoider_counts(3, P2143)
         assert sizes == [expected]
 
+
+    def test_spawned_workers(self, monkeypatch):
+        # spawned workers start from a fresh interpreter, so each builds its
+        # own compiled searches; nothing compiled crosses the process line
+        spawn = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", spawn)
+        assert avoider_counts(4, P2143, workers=2) == avoider_counts(4, P2143)

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from sigperm.core import Occurrence, Pattern, SignedPermutation, find_occurrence_positions, parse
+from sigperm.core import Pattern, SignedPermutation, find_occurrence_positions, parse
 from sigperm.gentree import PermTreeNode, TreeLabel, level_counts
 from sigperm.gf import LatticePath, TruncatedSeries
 from sigperm.oracle import avoider_counts
@@ -13,7 +13,6 @@ from sigperm.oracle import avoider_counts
 # (class, constructor keyword arguments): the fields as tuples
 FROZEN = [
     (Pattern, {"values": (2, 1, 4, 3)}),
-    (Occurrence, {"indices": (-2, 1), "values": (3, 4)}),
     (SignedPermutation, {"neg_images": (-3, 4, 2, 1)}),
     (TruncatedSeries, {"coeffs": (1, 0, -2)}),
     (LatticePath, {"points": (TreeLabel(1, 1, 1), TreeLabel(2, 2, 1)), "recorded": (True,)}),
