@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 import shlex
 import sys
 import time
@@ -192,13 +193,21 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
     p1234, p2143 = gentree.TREE_PATTERNS
     sizes = range(max_n + 1)
     routes = ("brute", "tree", "gf")
-    rows = {
-        (route, str(p)): [
-            oracle.avoider_counts(n, p, workers=workers)
-            if route == "brute"
-            else tuple(_count_one(n, j, p, route, workers) for j in range(n + 1))
+
+    def route_rows(route: str, p: Pattern) -> list[tuple[int, ...]]:
+        if route == "brute":
+            return [oracle.avoider_counts(n, p, workers=workers) for n in sizes]
+        if route == "tree":
+            # one DP per j gives that column of every row
+            levels = [gentree.level_counts(p, j, max_n - j) for j in sizes]
+            return [tuple(levels[j][n - j] for j in range(n + 1)) for n in sizes]
+        return [
+            tuple(gf.avoider_count_from_series(n, j, p) for j in range(n + 1))
             for n in sizes
         ]
+
+    rows = {
+        (route, str(p)): route_rows(route, p)
         for route in routes
         for p in gentree.TREE_PATTERNS
     }
@@ -313,7 +322,10 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 def cmd_gf(args: argparse.Namespace) -> int:
     pattern = Pattern.parse(args.pattern)
-    gamma = tuple(int(tok) for tok in args.gamma.split(",") if tok.strip())
+    tokens = args.gamma.split(",")
+    if not all(re.fullmatch(r"\s*[+-]?\d+\s*", tok) for tok in tokens):
+        raise ValueError(f"malformed signature {args.gamma!r}")
+    gamma = tuple(map(int, tokens))
     if args.q < 1:  # layers count from 1; the library gives 0 below that
         raise ValueError("--q must be at least 1")
 

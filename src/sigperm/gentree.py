@@ -14,20 +14,22 @@ Three statistics label each node:
 * ``z`` - the layer number, counting from the layer of the largest inserted
   image up to the top.
 
-The label of a node determines the multiset of its children's labels.  Each
-succession rule is stated once, as range blocks: boxes of children labels
-whose sides are fixed or run up to a bound set by the parent's label.
-:func:`successors` expands the blocks label by label.  The label dynamic
-program in :func:`level_counts` reproduces the tree's level sizes without
-building it: it sums over the blocks with suffix sums along their bounding
-coordinates, in time about linear in the number of labels per level.
+The label of a node determines the multiset of its children's labels.
+:func:`successors` lists each succession rule child by child.  The label
+dynamic program in :func:`level_counts` reproduces the tree's level sizes
+without building it: it holds the multiplicities of labels as rows over
+``x``, one per ``(z, y)``, and sums each rule over whole rows with running
+and suffix sums, in time about linear in the number of labels per level.
+The two statements of each rule are checked against each other by the
+tests.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple
+from functools import reduce
+from itertools import accumulate
+from operator import add
+from typing import Iterator, NamedTuple
 
 from .core import (
     Pattern,
@@ -212,169 +214,115 @@ def stats(w: SignedPermutation, pattern: Pattern) -> TreeLabel:
     return _label(w, is_2143, y)
 
 
-class _End(NamedTuple):
-    """One end of a block side: ``label[axis] + offset``, or ``offset``
-    alone when ``axis`` is None."""
-
-    axis: int | None
-    offset: int
-
-    def at(self, label: tuple[int, ...]) -> int:
-        return self.offset if self.axis is None else label[self.axis] + self.offset
-
-
-class _Block(NamedTuple):
-    """A box of children labels ``(i, yy, zz)`` of a parent ``(x, y, z)``.
-
-    ``sides`` holds a ``(lo, hi)`` pair of ends per child coordinate; a side
-    is fixed when its ends are equal.  A range is *summed* when its upper
-    end reads a parent coordinate that no fixed side pins.  ``passes``
-    holds, per summed range, its side, that coordinate, and a function that
-    keys the lines along it by the other coordinates some end reads.
-    ``box`` is ``sides`` with the ranges summed before the last pass fixed
-    at their upper ends.
-    """
-
-    sides: tuple[tuple[_End, _End], ...]
-    passes: tuple[tuple[int, int, Callable[[tuple[int, ...]], object]], ...]
-    box: tuple[tuple[_End, _End], ...]
-
-
-def _end(text: str) -> _End:
-    """Parse an end such as ``"x+1"``, ``"z"`` or ``"2"``."""
-    text = text.strip()
-    if text[0] in "xyz":
-        return _End("xyz".index(text[0]), int(text[1:] or 0))
-    return _End(None, int(text))
-
-
-def _block(text: str) -> _Block:
-    """Parse a block written as three sides, such as ``"2..x+1, y+1, z"``.
-
-    The label DP needs at least one summed range, no two bounded by the
-    same coordinate, every range's lower end a constant or a parent
-    coordinate that a fixed side pins, and, for each summed range, an end
-    that reads some other coordinate.
-    """
-    sides = []
-    for side in text.split(","):
-        lo, _, hi = side.partition("..")
-        sides.append((_end(lo), _end(hi or lo)))
-    known = {None} | {lo.axis for lo, hi in sides if lo == hi}
-    ranges = [(k, lo, hi) for k, (lo, hi) in enumerate(sides) if lo != hi]
-    summed = [(k, hi.axis) for k, _, hi in ranges if hi.axis not in known]
-    axes = [a for _, a in summed]
-    loose = any(lo.axis not in known for _, lo, _ in ranges)
-    if not summed or loose or len(set(axes)) < len(axes):
-        raise ValueError(f"the label DP cannot sum the block {text!r}")
-    read = sorted({end.axis for side in sides for end in side} - {None})
-    passes = tuple((k, a, itemgetter(*(b for b in read if b != a))) for k, a in summed)
-    early = {k for k, _ in summed[:-1]}
-    box = tuple((s[1], s[1]) if k in early else s for k, s in enumerate(sides))
-    return _Block(tuple(sides), passes, box)
-
-
-# The succession rules, each stated once as blocks of children labels
-# (i, yy, zz) of a parent (x, y, z); the key is whether the pattern is 2143.
-_RULES = {
-    True: tuple(
-        map(_block, ("2..x+1, y+1, z", "x, x+1..y, z", "2..x+1, x+1, 1..z-1"))
-    ),
-    False: tuple(map(_block, ("2..x+1, y+1, 1..z", "x, x+1..y, 1"))),
-}
-
-
-def _blocks(pattern: Pattern) -> tuple[_Block, ...]:
-    return _RULES[_require_tree_pattern(pattern)]
-
-
 def successors(label: TreeLabel, pattern: Pattern) -> list[TreeLabel]:
     """The multiset of children labels under the succession rule.
 
-    The rule's blocks, expanded layer by layer from the parent's down.
-    Same-layer moves either bump the active-site count (new first turn
-    right after the insertion) or keep ``x`` and shrink ``y``; moves into a
-    lower layer restart the active-site count from the sites before the
-    first turn.  For 1234 only the top layer admits the shrinking moves,
-    and the active-site count carries over from layer to layer; at layer 1
-    the two rules coincide.
+    Children are listed layer by layer from the parent's down.  Same-layer
+    moves either bump the active-site count (new first turn right after the
+    insertion) or keep ``x`` and shrink ``y``; moves into a lower layer
+    restart the active-site count from the sites before the first turn.
+    For 1234 only the top layer admits the shrinking moves, and the
+    active-site count carries over from layer to layer; at layer 1 the two
+    rules coincide.  :func:`_next_level` sums the same rules.
     """
     x, y, z = label
     if not (1 <= x <= y and z >= 1):
         raise ValueError(f"invalid label {label}")
-    out: list[TreeLabel] = []
-    for block in _blocks(pattern):
-        (i0, i1), (y0, y1), (z0, z1) = (
-            (lo.at(label), hi.at(label)) for lo, hi in block.sides
+    sites = range(2, x + 2)
+    if _require_tree_pattern(pattern):
+        return (
+            [TreeLabel(i, y + 1, z) for i in sites]
+            + [TreeLabel(x, yy, z) for yy in range(x + 1, y + 1)]
+            + [TreeLabel(i, x + 1, zz) for zz in range(z - 1, 0, -1) for i in sites]
         )
-        out.extend(
-            TreeLabel(i, yy, zz)
-            for zz in range(z1, z0 - 1, -1)
-            for yy in range(y0, y1 + 1)
-            for i in range(i0, i1 + 1)
-        )
-    return out
+    return [TreeLabel(i, y + 1, zz) for zz in range(z, 0, -1) for i in sites] + [
+        TreeLabel(x, yy, 1) for yy in range(x + 1, y + 1)
+    ]
 
 
-def _lines(
-    table: dict[tuple[int, ...], int],
-    axis: int,
-    line_key: Callable[[tuple[int, ...]], object],
-) -> Iterable[tuple[tuple[int, ...], dict[int, int]]]:
-    """Group ``table`` into lines along ``axis``: one ``(point, line)`` pair
-    per line key, with a point of the line and the line's multiplicities
-    by that coordinate.  Coordinates the key leaves out are summed over."""
-    lines: dict[object, tuple[tuple[int, ...], dict[int, int]]] = {}
-    for point, mult in table.items():
-        key = line_key(point)
-        if key not in lines:
-            lines[key] = (point, {})
-        line = lines[key][1]
-        v = point[axis]
-        line[v] = line.get(v, 0) + mult
-    return lines.values()
+# The label DP's state: rows[(z, y)][x] is the multiplicity of label
+# (x, y, z); a row has length y + 1, and only rows that hold a label are kept.
+_Rows = dict[tuple[int, int], list[int]]
 
 
-def _sums_from_above(line: dict[int, int], low: int) -> list[int]:
-    """Suffix sums of ``line``: entry ``v - low`` totals the line at or
-    above ``v``, for ``v`` in ``low..max(line)``."""
-    values = [line.get(v, 0) for v in range(max(line), low - 1, -1)]
-    return list(accumulate(values))[::-1]
+def _add(rows: _Rows, key: tuple[int, int], values: list[int], start: int) -> None:
+    """Add ``values`` into ``rows[key]`` from index ``start``."""
+    if not any(values):
+        return
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = [0] * (key[1] + 1)
+    end = start + len(values)
+    row[start:end] = map(add, row[start:end], values)
 
 
-def _next_level(
-    state: dict[tuple[int, ...], int], blocks: tuple[_Block, ...]
-) -> dict[tuple[int, ...], int]:
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    """Entrywise sum of two rows of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b) :]]
+
+
+def _sums_from_top(
+    rows: dict[int, list[int]], low: int
+) -> Iterator[tuple[int, list[int]]]:
+    """``(c, total of the rows at c and above)`` for ``c`` from the top
+    down to ``low``."""
+    total: list[int] = []
+    for c in range(max(rows), low - 1, -1):
+        if c in rows:
+            total = _plus(total, rows[c])
+        yield c, total
+
+
+def _suffix_sums(row: list[int]) -> list[int]:
+    """Entry ``x - 1`` totals ``row[x:]``, for ``x = 1..len(row) - 1``:
+    the multiplicity of child ``i = x + 1`` under ``i = 2..x+1``."""
+    return list(accumulate(reversed(row[1:])))[::-1]
+
+
+def _group(rows: _Rows, axis: int) -> dict[int, dict[int, list[int]]]:
+    """``rows`` keyed by their z (axis 0) or y (axis 1), then by the other."""
+    groups: dict[int, dict[int, list[int]]] = {}
+    for key, row in rows.items():
+        groups.setdefault(key[axis], {})[key[1 - axis]] = row
+    return groups
+
+
+def _next_level(rows: _Rows, is_2143: bool) -> _Rows:
     """One step of the label DP: the children of every label, with
-    multiplicity, summed block by block without listing them.
+    multiplicity, summed rule by rule over whole x-rows.
 
-    Along a line of parents that differ only in a summed bound ``c``
-    (coordinates no end reads are summed out), a block's boxes differ only
-    in that side, and a child whose side is ``s`` comes from exactly the
-    parents with ``c >= s - offset``.  So each pass replaces ``c`` by
-    suffix sums over it, a line at a time, and the last pass hands the
-    sums out to the children: about one step per parent and one per child.
+    Each block of :func:`successors` sums in one pass: a child's
+    multiplicity totals the parents whose bounds reach it, which are the
+    rows at or above some y or z, and the entries at or above some x.
     """
-    nxt: dict[tuple[int, ...], int] = {}
-    for block in blocks:
-        table = state
-        *early, (k, axis, line_key) = block.passes
-        for side, a, key in early:
-            lo, hi = block.sides[side]
-            summed: dict[tuple[int, ...], int] = {}
-            for point, line in _lines(table, a, key):
-                low = lo.at(point) - hi.offset
-                for v, total in enumerate(_sums_from_above(line, low), low):
-                    summed[point[:a] + (v,) + point[a + 1 :]] = total
-            table = summed
-        lo, hi = block.sides[k]
-        for point, line in _lines(table, axis, line_key):
-            low = lo.at(point)
-            weights = _sums_from_above(line, low - hi.offset)
-            box = [range(l.at(point), h.at(point) + 1) for l, h in block.box]
-            box[k] = range(low, low + len(weights))
-            for child in product(*box):
-                nxt[child] = nxt.get(child, 0) + weights[child[k] - low]
+    nxt: _Rows = {}
+    if is_2143:
+        planes = _group(rows, 0)
+        # (i, y+1, z), i = 2..x+1
+        for (z, y), row in rows.items():
+            _add(nxt, (z, y + 1), _suffix_sums(row), 2)
+        # (x, yy, z), yy = x+1..y
+        for z, plane in planes.items():
+            for yy, total in _sums_from_top(plane, 2):
+                _add(nxt, (z, yy), total[:yy], 0)
+        # (i, x+1, zz), i = 2..x+1, zz = 1..z-1
+        flat = {z: reduce(_plus, plane.values()) for z, plane in planes.items()}
+        for z, total in _sums_from_top(flat, 2):
+            for x, mult in enumerate(total):
+                if mult:
+                    _add(nxt, (z - 1, x + 1), [mult] * x, 2)
+    else:
+        columns = _group(rows, 1)
+        # (i, y+1, zz), i = 2..x+1, zz = 1..z
+        for y, column in columns.items():
+            for zz, total in _sums_from_top(column, 1):
+                _add(nxt, (zz, y + 1), _suffix_sums(total), 2)
+        # (x, yy, 1), yy = x+1..y
+        flat = {y: reduce(_plus, column.values()) for y, column in columns.items()}
+        for yy, total in _sums_from_top(flat, 2):
+            _add(nxt, (1, yy), total[:yy], 0)
     return nxt
 
 
@@ -456,20 +404,20 @@ def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
 def level_counts(pattern: Pattern, j: int, max_depth: int) -> list[int]:
     """Avoider counts ``|B_{j+d}^j|`` for ``d = 0..max_depth`` by label DP.
 
-    The state is a multiplicity map over labels, and one step sums the
-    rule's blocks over it (:func:`_next_level`) in time about linear in
-    the number of labels.  Labels stay within ``x <= y <= j+d+2`` and
-    ``z <= j+1``, so the map stays polynomial in the depth.
+    The state holds the multiplicity of every label, one row of x per
+    ``(z, y)``, and one step sums the rule over whole rows
+    (:func:`_next_level`).  Labels stay within ``x <= y <= j+d+2`` and
+    ``z <= j+1``, so the state stays polynomial in the depth.
 
     >>> level_counts(PATTERN_1234, 0, 6)
     [1, 1, 2, 6, 23, 103, 513]
     """
     if j < 0 or max_depth < 0:
         raise ValueError("arguments must be nonnegative")
-    blocks = _blocks(pattern)
-    state = {(j + 1, j + 1, j + 1): 1}
+    is_2143 = _require_tree_pattern(pattern)
+    rows = {(j + 1, j + 1): [0] * (j + 1) + [1]}
     counts = [1]
     for _ in range(max_depth):
-        state = _next_level(state, blocks)
-        counts.append(sum(state.values()))
+        rows = _next_level(rows, is_2143)
+        counts.append(sum(map(sum, rows.values())))
     return counts

@@ -191,6 +191,8 @@ class TestUsageErrors:
             ("gf", "--pattern", "2143", "--k", "0", "--q", "1", "--gamma", "3,x"),
             ("count", "--n", "2", "--pattern", "1234", "--threads", "0"),
             ("count", "--n", "2", "--pattern", "1234", "--threads", "-3"),
+            ("gf", "--pattern", "1234", "--k", "0", "--q", "1", "--gamma", "1,,2"),
+            ("gf", "--pattern", "1234", "--k", "0", "--q", "1", "--gamma", ",2"),
         ],
     )
     def test_exit_code_two(self, argv):
@@ -247,19 +249,19 @@ class TestVerify:
         assert {c["status"] for c in doc["rows"]} == {"pass"}
 
     def test_injected_fault_is_caught_and_named(self, capsys, monkeypatch):
-        # the rule's blocks feed both successors and the label DP; the extra
-        # block gives every label a child (x+1, y+1, zz) for zz <= z, so the
-        # root (1, 1, 1) gains (2, 2, 1)
-        true_blocks = sigperm.gentree._blocks
-        extra = sigperm.gentree._block("x+1, y+1, 1..z")
+        # every DP step also yields the child (2, 2, 1) once, at x = 2 of the
+        # row (z, y) = (1, 2)
+        true_next_level = sigperm.gentree._next_level
 
-        def corrupted(pattern):
-            return true_blocks(pattern) + (extra,)
+        def corrupted(rows, is_2143):
+            nxt = true_next_level(rows, is_2143)
+            row = nxt.setdefault((1, 2), [0, 0, 0])
+            row[2] += 1
+            return nxt
 
-        monkeypatch.setattr(sigperm.gentree, "_blocks", corrupted)
-        assert TreeLabel(2, 2, 1) in sigperm.gentree.successors(
-            TreeLabel(1, 1, 1), sigperm.gentree.PATTERN_2143
-        )
+        monkeypatch.setattr(sigperm.gentree, "_next_level", corrupted)
+        p2143 = sigperm.gentree.PATTERN_2143
+        assert sigperm.gentree.level_counts(p2143, 0, 1) == [1, 2]
         code, doc = run_json(capsys, "verify", "--max-n", "3")
         assert code == 1
         failed = [c["name"] for c in doc["rows"] if c["status"] == "fail"]

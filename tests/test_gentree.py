@@ -16,7 +16,7 @@ from sigperm.gentree import (
     successors,
     tree_root,
 )
-from sigperm.gentree import _block, _blocks, _next_level
+from sigperm.gentree import _next_level
 from sigperm.gf import avoider_count_from_series
 from sigperm.oracle import avoider_counts, classical_1234_formula, egge_formula
 
@@ -40,6 +40,29 @@ def plain_next_level(state, pattern):
         for child in successors(label, pattern):
             nxt[child] += mult
     return nxt
+
+
+def as_rows(state):
+    """A label multiplicity map as the label DP's state, one x-row per (z, y)."""
+    rows = {}
+    for (x, y, z), mult in state.items():
+        rows.setdefault((z, y), [0] * (y + 1))[x] += mult
+    return rows
+
+
+def as_labels(rows):
+    """The label DP's state as a label multiplicity map."""
+    return {
+        TreeLabel(x, y, z): mult
+        for (z, y), row in rows.items()
+        for x, mult in enumerate(row)
+        if mult
+    }
+
+
+def dp_step(state, pattern):
+    """One label-DP step on a label multiplicity map."""
+    return as_labels(_next_level(as_rows(state), pattern == P2143))
 
 
 def successors_recursive(label, pattern):
@@ -243,18 +266,6 @@ class TestSuccessionRule:
         with pytest.raises(ValueError):
             successors(TreeLabel(1, 1, 0), P2143)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x, y, z",  # no summed range
-            "2..x+1, x+1..y, z",  # a lower end reads a summed coordinate
-            "2..x+1, 1, 1..x",  # one coordinate bounds two summed ranges
-        ],
-    )
-    def test_block_the_dp_cannot_sum_is_refused(self, text):
-        with pytest.raises(ValueError, match="cannot sum"):
-            _block(text)
-
 
 class TestTreeIsomorphism:
     @pytest.mark.parametrize("pattern", BOTH)
@@ -389,28 +400,47 @@ class TestLevelCounts:
                 assert level_counts(pattern, j, n - j)[-1] == row[j]
 
     def test_label_bounds(self):
-        # the DP state stays inside x <= y <= j + d + 2, z <= j + 1
+        # the DP state stays inside x <= y <= j + d + 2, z <= j + 1, and
+        # keeps only rows that hold a label
         for pattern in BOTH:
             j = 2
-            state = {TreeLabel(j + 1, j + 1, j + 1): 1}
+            rows = as_rows({TreeLabel(j + 1, j + 1, j + 1): 1})
             for depth in range(5):
-                state = _next_level(state, _blocks(pattern))
-                for x, y, z in state:
+                rows = _next_level(rows, pattern == P2143)
+                assert all(any(row) for row in rows.values())
+                for x, y, z in as_labels(rows):
                     assert 1 <= x <= y <= j + depth + 3
                     assert 1 <= z <= j + 1
 
     @pytest.mark.parametrize("pattern", BOTH)
-    def test_block_sums_match_plain_expansion(self, pattern):
+    def test_one_step_per_label_matches_successors(self, pattern):
+        # the rule is stated twice, listed by successors and summed by the DP
+        for x in range(1, 7):
+            for y in range(x, 10):
+                for z in range(1, 6):
+                    label = TreeLabel(x, y, z)
+                    want = Counter(successors(label, pattern))
+                    assert dp_step({label: 1}, pattern) == want, label
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_row_sums_match_plain_expansion(self, pattern):
         # the reference lists every label's successors, one label at a time
         for j in range(5):
             plain = summed = {TreeLabel(j + 1, j + 1, j + 1): 1}
             sizes = [1]
             for _ in range(8):
                 plain = plain_next_level(plain, pattern)
-                summed = _next_level(summed, _blocks(pattern))
+                summed = dp_step(summed, pattern)
                 assert summed == dict(plain)
                 sizes.append(sum(plain.values()))
             assert level_counts(pattern, j, 8) == sizes
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_deep_roots(self, pattern):
+        # a DP that allocated the whole label box up front could not run these
+        children_of_root = successors(TreeLabel(501, 501, 501), pattern)
+        assert level_counts(pattern, 500, 1) == [1, len(children_of_root)]
+        assert level_counts(pattern, 2000, 0) == [1]
 
     def test_far_row_agrees_with_series_and_formulas(self):
         # n = 20 is out of a test's reach when the DP lists every child label
