@@ -34,13 +34,15 @@ why it cancels from the first and last rules and survives only as the
 ``[q == 1] t``.  Then ``|B_n^j| = [t^(n-j+1)] H(0, j+1, j+1)``, evaluated in
 time polynomial in ``n`` by :func:`avoider_count_from_series`.
 
-Series arithmetic never leaves truncated integer polynomials.
+The series are computed as tuples of exact integer coefficients, one per
+degree up to the bound, and wrapped in a :class:`TruncatedSeries` on return.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import add, sub
 from typing import Counter as CounterT, Iterable
 
 from collections import Counter
@@ -64,10 +66,8 @@ __all__ = [
 
 
 class TruncatedSeries(_Frozen):
-    """A polynomial in ``t`` truncated at a fixed degree bound.
-
-    Coefficients are exact integers and may go negative in intermediate
-    expressions; the final path series are nonnegative.
+    """A polynomial in ``t`` with exact integer coefficients, truncated at
+    degree ``len(coeffs) - 1``: the value :meth:`SeriesCache.series` returns.
     """
 
     __slots__ = _fields = ("coeffs",)
@@ -87,55 +87,11 @@ class TruncatedSeries(_Frozen):
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, degree_bound: int) -> "TruncatedSeries":
-        return cls((0,) * (degree_bound + 1))
-
-    @classmethod
-    def one(cls, degree_bound: int) -> "TruncatedSeries":
-        return cls((1,) + (0,) * degree_bound)
-
-    @classmethod
-    def geometric_power(cls, k: int, degree_bound: int) -> "TruncatedSeries":
-        """``s^k`` truncated: coefficient ``d`` is ``C(d + k - 1, d)``, what
-        ``k`` prefix-sum passes over 1 give."""
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        if k == 0:
-            return cls.one(degree_bound)
-        return cls(tuple(comb(d + k - 1, d) for d in range(degree_bound + 1)))
-
-    def _match(self, other: "TruncatedSeries") -> None:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("degree bounds differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._match(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._match(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def prefix_sums(self) -> "TruncatedSeries":
-        """Multiply by ``s = 1/(1-t)``: coefficient ``d`` becomes the sum of
-        coefficients ``0..d``."""
-        out = []
-        acc = 0
-        for c in self.coeffs:
-            acc += c
-            out.append(acc)
-        return TruncatedSeries(tuple(out))
-
     def coefficient(self, d: int) -> int:
         """Coefficient of ``t^d``; degrees past the bound were never
         computed, so asking for them is an error rather than a zero."""
-        if not 0 <= d <= self.degree_bound:
-            raise ValueError(f"degree {d} outside 0..{self.degree_bound}")
+        if not 0 <= d < len(self.coeffs):
+            raise ValueError(f"degree {d} outside 0..{len(self.coeffs) - 1}")
         return self.coeffs[d]
 
     def __str__(self) -> str:
@@ -188,27 +144,29 @@ def signatures(first: int, max_len: int) -> list[tuple[int, ...]]:
 
 # SeriesCache recurses once per signature entry, about two stack frames each,
 # so SeriesCache.series refuses longer signatures well inside the default
-# recursion limit; at this length one series takes about a second at degree 8
-# (one core of a 2-vCPU x86-64 virtual machine, Python 3.11).
+# recursion limit.  At this length and degree 8, f_series(2143, 0, 1, [2]*200)
+# takes about 1.5 s and f_series(2143, 3, 3, [5, 6, 7] + [2]*197) 5-6 s (one
+# core of a 2-vCPU x86-64 virtual machine, Python 3.11).
 MAX_SIGNATURE_LENGTH = 200
 
 
 class SeriesCache:
     """Memoized evaluator of the path series at one fixed degree bound.
 
-    Keys are (rule, k, q, gamma), where the rule is True for 2143 and False
-    for 1234; the degree bound is ambient to the session, so entries from
-    different bounds never mix.  Evaluation is a pure function of the key,
-    so concurrent duplicate computation would be idempotent; within one
-    session a plain dict suffices.
+    The memo maps keys (rule, k, q, gamma), where the rule is True for 2143
+    and False for 1234, to tuples of ``degree_bound + 1`` coefficients; the
+    degree bound is ambient to the session, so entries from different bounds
+    never mix.  Evaluation is a pure function of the key, so concurrent
+    duplicate computation would be idempotent; within one session a plain
+    dict suffices.
     """
 
     def __init__(self, degree_bound: int):
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
         self.degree_bound = degree_bound
-        self._memo: dict[tuple[bool, int, int, tuple[int, ...]], TruncatedSeries] = {}
-        self._zero = TruncatedSeries.zero(degree_bound)
+        self._memo: dict[tuple[bool, int, int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._zero = (0,) * (degree_bound + 1)
 
     def series(self, pattern: Pattern, k: int, q: int, gamma: Iterable[int]) -> TruncatedSeries:
         """``F(pattern, k, q, gamma)`` truncated at the session bound.
@@ -225,11 +183,11 @@ class SeriesCache:
                 f"signature has {len(gamma)} entries, more than the bound "
                 f"{MAX_SIGNATURE_LENGTH}"
             )
-        return self._f(rule_2143, k, q, gamma)
+        return TruncatedSeries(self._f(rule_2143, k, q, gamma))
 
     def _f(
         self, rule_2143: bool, k: int, q: int, gamma: tuple[int, ...]
-    ) -> TruncatedSeries:
+    ) -> tuple[int, ...]:
         """Recurse on the signature tail only; the chains in ``q`` and ``k``
         run as loops, so the stack depth is bounded by ``len(gamma)``."""
         if q <= 0:
@@ -240,7 +198,11 @@ class SeriesCache:
         if hit is not None:
             return hit
         if len(gamma) == 1:
-            val = TruncatedSeries.geometric_power(k, self.degree_bound)
+            # s^k: coefficient d is C(d + k - 1, d)
+            if k == 0:
+                val = (1,) + self._zero[1:]
+            else:
+                val = tuple(comb(d + k - 1, d) for d in range(self.degree_bound + 1))
             self._memo[(rule_2143, k, q, gamma)] = val
             return val
         g1, g2 = gamma[0], gamma[1]
@@ -252,11 +214,10 @@ class SeriesCache:
                 memo_key = (rule_2143, step, q, gamma)
                 hit = self._memo.get(memo_key)
                 if hit is None:
-                    hit = (
-                        val
-                        + self._f(rule_2143, g1 + 1 - g2 + step, q, rest)
-                        - self._f(rule_2143, g1 - g2 + step, q, rest)
-                    ).prefix_sums()
+                    up = self._f(rule_2143, g1 + 1 - g2 + step, q, rest)
+                    down = self._f(rule_2143, g1 - g2 + step, q, rest)
+                    # multiplying by s takes prefix sums of the coefficients
+                    hit = tuple(itertools.accumulate(map(sub, map(add, val, up), down)))
                     self._memo[memo_key] = hit
                 val = hit
             return val
@@ -268,7 +229,8 @@ class SeriesCache:
             memo_key = (rule_2143, k, layer, gamma)
             hit = self._memo.get(memo_key)
             if hit is None:
-                hit = val + self._f(rule_2143, g1 + 1 - g2 + k, layer, rest)
+                lower = self._f(rule_2143, g1 + 1 - g2 + k, layer, rest)
+                hit = tuple(map(add, val, lower))
                 self._memo[memo_key] = hit
             val = hit
         return val

@@ -119,6 +119,16 @@ class TestCount:
         assert doc1["manifest"]["workers"] == 1
         assert doc2["manifest"]["workers"] == 2
 
+    def test_workers_reports_processes_started(self, capsys):
+        # only the exhaustive scan starts processes; the other methods run
+        # in one whatever --threads asks for
+        for method, workers in [("tree", 1), ("gf", 1), ("brute", 2)]:
+            _, doc = run_json(
+                capsys, "count", "--n", "5", "--pattern", "2143",
+                "--method", method, "--threads", "2",
+            )
+            assert doc["manifest"]["workers"] == workers
+
     def test_brute_guard_and_allow_long(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)
         with pytest.raises(SystemExit) as exc:
@@ -193,6 +203,7 @@ class TestUsageErrors:
             ("count", "--n", "2", "--pattern", "1234", "--threads", "-3"),
             ("gf", "--pattern", "1234", "--k", "0", "--q", "1", "--gamma", "1,,2"),
             ("gf", "--pattern", "1234", "--k", "0", "--q", "1", "--gamma", ",2"),
+            ("count", "--n", "2", "--pattern", "1234", "--method", "tree", "--threads", "0"),
         ],
     )
     def test_exit_code_two(self, argv):

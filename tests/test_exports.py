@@ -34,3 +34,11 @@ def test_test_only_api_stays_out():
     core = importlib.import_module("sigperm.core")
     assert not hasattr(core, "Occurrence") and not hasattr(core, "contains_naive")
     assert not hasattr(core.SignedPermutation, "occurrence_of")
+    # the path series are computed on coefficient tuples; the result type
+    # carries no series algebra of its own
+    gf = importlib.import_module("sigperm.gf")
+    algebra = (
+        "zero", "one", "geometric_power", "_match",
+        "__add__", "__sub__", "prefix_sums", "degree_bound",
+    )
+    assert [name for name in algebra if hasattr(gf.TruncatedSeries, name)] == []

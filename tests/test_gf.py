@@ -74,27 +74,6 @@ def enumerated_profile(pattern, start, max_points):
 
 
 class TestTruncatedSeries:
-    def test_prefix_sums_of_one(self):
-        assert TruncatedSeries.one(4).prefix_sums().coeffs == (1, 1, 1, 1, 1)
-
-    def test_geometric_powers(self):
-        assert TruncatedSeries.geometric_power(0, 8) == TruncatedSeries.one(8)
-        for k in range(1, 5):
-            s_k = TruncatedSeries.geometric_power(k, 8)
-            assert s_k.coeffs == tuple(
-                comb(d + k - 1, k - 1) for d in range(9)
-            )
-
-    def test_add_sub(self):
-        a = TruncatedSeries((1, 2, 3))
-        b = TruncatedSeries((4, 5, 6))
-        assert (a + b).coeffs == (5, 7, 9)
-        assert (a - a).coeffs == (0, 0, 0)
-
-    def test_mismatched_bounds(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries((1,)) + TruncatedSeries((1, 2))
-
     def test_coefficient_bounds(self):
         s = TruncatedSeries((7, 8))
         assert s.coefficient(1) == 8
@@ -131,11 +110,16 @@ class TestSignatures:
 
 class TestSeries:
     def test_length_one_signature_is_geometric(self):
+        # s^k = 1/(1-t)^k: coefficient d is C(d + k - 1, d), and s^0 = 1
         for pattern in BOTH:
             for k in range(4):
+                expected = (
+                    tuple(comb(d + k - 1, d) for d in range(7))
+                    if k
+                    else (1, 0, 0, 0, 0, 0, 0)
+                )
                 for q in (1, 3):
-                    got = f_series(pattern, k, q, (3,), 6)
-                    assert got == TruncatedSeries.geometric_power(k, 6)
+                    assert f_series(pattern, k, q, (3,), 6).coeffs == expected
 
     def test_hand_computed_base(self):
         # F(0,1,(1,2)) = F(0,0,(1,2)) + F(0,1,(2)) = 0 + 1
