@@ -322,6 +322,12 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     return 0 if all(row["equal"] for row in rows) else 1
 
 
+def _series_text(coeffs: tuple[int, ...]) -> str:
+    """``c0 + c1*t + c2*t^2 + ...`` through the truncation degree."""
+    powers = ["", "*t", *(f"*t^{d}" for d in range(2, len(coeffs)))]
+    return " + ".join(f"{c}{power}" for c, power in zip(coeffs, powers))
+
+
 def cmd_gf(args: argparse.Namespace) -> int:
     pattern = Pattern.parse(args.pattern)
     tokens = args.gamma.split(",")
@@ -333,7 +339,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     series = gf.f_series(pattern, args.k, args.q, gamma, args.degree)
-    table = [str(series)]
+    text = _series_text(series)
+    table = [text]
     cross_check: dict[str, Any] | None = None
     start = (gamma[0], gamma[0] + args.k, args.q)
     if args.degree <= 6 and start[1] <= 4 and args.q <= 3:
@@ -342,7 +349,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
         if depth >= 0:
             profile = gf.path_profile(pattern, start, max_points)
             agree = all(
-                series.coefficient(d) == profile.get((gamma, d), 0)
+                series[d] == profile.get((gamma, d), 0)
                 for d in range(depth + 1)
             )
             cross_check = {
@@ -363,8 +370,8 @@ def cmd_gf(args: argparse.Namespace) -> int:
         "k": args.k,
         "q": args.q,
         "gamma": list(gamma),
-        "coefficients": [str(c) for c in series.coeffs],
-        "series": str(series),
+        "coefficients": [str(c) for c in series],
+        "series": text,
         "cross_check": cross_check,
     }
     _emit(args, started, manifest, body, table=table)

@@ -34,8 +34,8 @@ why it cancels from the first and last rules and survives only as the
 ``[q == 1] t``.  Then ``|B_n^j| = [t^(n-j+1)] H(0, j+1, j+1)``, evaluated in
 time polynomial in ``n`` by :func:`avoider_count_from_series`.
 
-The series are computed as tuples of exact integer coefficients, one per
-degree up to the bound, and wrapped in a :class:`TruncatedSeries` on return.
+A series is a tuple of exact integer coefficients, one per degree up to the
+bound, and a path is a sequence of ``(x, y, z)`` points.
 """
 
 from __future__ import annotations
@@ -47,61 +47,19 @@ from typing import Counter as CounterT, Iterable
 
 from collections import Counter
 
-from .core import Pattern, _Frozen
+from .core import Pattern
 from .gentree import TreeLabel, _require_tree_pattern, successors
 
 __all__ = [
-    "TruncatedSeries",
     "validate_signature",
     "signatures",
     "SeriesCache",
     "f_series",
     "avoider_count_from_series",
-    "LatticePath",
     "is_recorded",
-    "path_from_points",
     "signature_of",
     "path_profile",
 ]
-
-
-class TruncatedSeries(_Frozen):
-    """A polynomial in ``t`` with exact integer coefficients, truncated at
-    degree ``len(coeffs) - 1``: the value :meth:`SeriesCache.series` returns.
-    """
-
-    __slots__ = _fields = ("coeffs",)
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs: Iterable[int]) -> None:
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("a truncated series needs at least degree 0")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def coefficient(self, d: int) -> int:
-        """Coefficient of ``t^d``; degrees past the bound were never
-        computed, so asking for them is an error rather than a zero."""
-        if not 0 <= d < len(self.coeffs):
-            raise ValueError(f"degree {d} outside 0..{len(self.coeffs) - 1}")
-        return self.coeffs[d]
-
-    def __str__(self) -> str:
-        terms = [str(self.coeffs[0])]
-        terms.extend(
-            f"{c}*t" if d == 1 else f"{c}*t^{d}"
-            for d, c in enumerate(self.coeffs)
-            if d >= 1
-        )
-        return " + ".join(terms)
 
 
 def validate_signature(gamma: Iterable[int]) -> tuple[int, ...]:
@@ -156,9 +114,10 @@ class SeriesCache:
     The memo maps keys (rule, k, q, gamma), where the rule is True for 2143
     and False for 1234, to tuples of ``degree_bound + 1`` coefficients; the
     degree bound is ambient to the session, so entries from different bounds
-    never mix.  Evaluation is a pure function of the key, so concurrent
-    duplicate computation would be idempotent; within one session a plain
-    dict suffices.
+    never mix, and :meth:`series` returns the memoized tuple itself.
+    Evaluation is a pure function of the key, so concurrent duplicate
+    computation would be idempotent; within one session a plain dict
+    suffices.
     """
 
     def __init__(self, degree_bound: int):
@@ -168,8 +127,9 @@ class SeriesCache:
         self._memo: dict[tuple[bool, int, int, tuple[int, ...]], tuple[int, ...]] = {}
         self._zero = (0,) * (degree_bound + 1)
 
-    def series(self, pattern: Pattern, k: int, q: int, gamma: Iterable[int]) -> TruncatedSeries:
-        """``F(pattern, k, q, gamma)`` truncated at the session bound.
+    def series(self, pattern: Pattern, k: int, q: int, gamma: Iterable[int]) -> tuple[int, ...]:
+        """The coefficients of ``F(pattern, k, q, gamma)`` in degrees
+        ``0..degree_bound``.
 
         Raises ``ValueError`` for a signature longer than
         ``MAX_SIGNATURE_LENGTH``.
@@ -183,7 +143,7 @@ class SeriesCache:
                 f"signature has {len(gamma)} entries, more than the bound "
                 f"{MAX_SIGNATURE_LENGTH}"
             )
-        return TruncatedSeries(self._f(rule_2143, k, q, gamma))
+        return self._f(rule_2143, k, q, gamma)
 
     def _f(
         self, rule_2143: bool, k: int, q: int, gamma: tuple[int, ...]
@@ -238,7 +198,7 @@ class SeriesCache:
 
 def f_series(
     pattern: Pattern, k: int, q: int, gamma: Iterable[int], degree_bound: int
-) -> TruncatedSeries:
+) -> tuple[int, ...]:
     """One-off evaluation of ``F``; see :class:`SeriesCache` for sessions."""
     return SeriesCache(degree_bound).series(pattern, k, q, gamma)
 
@@ -296,42 +256,13 @@ def avoider_count_from_series(n: int, j: int, pattern: Pattern) -> int:
 # explicit paths: the desk-scale oracle for the series recursion
 
 
-class LatticePath(_Frozen):
-    """A label sequence following a succession rule, with per-step flags."""
-
-    __slots__ = _fields = ("points", "recorded")
-    points: tuple[TreeLabel, ...]
-    recorded: tuple[bool, ...]
-
-    def __init__(self, points: Iterable[TreeLabel], recorded: Iterable[bool]) -> None:
-        points = tuple(points)
-        recorded = tuple(recorded)
-        if not points:
-            raise ValueError("a path has at least one point")
-        if len(recorded) != len(points) - 1:
-            raise ValueError("need one recorded flag per step")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "recorded", recorded)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.points == other.points and self.recorded == other.recorded
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.points, self.recorded))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def _records(start: TreeLabel, end: TreeLabel, rule_2143: bool) -> bool:
     """The flag of a legal step: it bumps the active-site count, or, under
     the 2143 rule, it drops to a lower layer."""
     return end.y == start.y + 1 or (rule_2143 and end.z < start.z)
 
 
-def is_recorded(start: TreeLabel, end: TreeLabel, pattern: Pattern) -> bool:
+def is_recorded(start: tuple[int, int, int], end: tuple[int, int, int], pattern: Pattern) -> bool:
     """Classify one succession step as recorded or not.
 
     Raises ``ValueError`` unless ``end`` is one of the :func:`successors` of
@@ -341,29 +272,23 @@ def is_recorded(start: TreeLabel, end: TreeLabel, pattern: Pattern) -> bool:
     ``x + 1``).  For 1234 a step is recorded exactly when it bumps the
     active-site count.
     """
+    start, end = TreeLabel(*start), TreeLabel(*end)
     if end not in successors(start, pattern):
         raise ValueError(f"{start} -> {end} is not a legal {pattern} step")
     return _records(start, end, _require_tree_pattern(pattern))
 
 
-def path_from_points(
-    points: Iterable[TreeLabel | tuple[int, int, int]], pattern: Pattern
-) -> LatticePath:
-    """Validate a point sequence and attach its recorded flags."""
-    pts = tuple(TreeLabel(*p) for p in points)
-    flags = tuple(
-        is_recorded(a, b, pattern) for a, b in itertools.pairwise(pts)
+def signature_of(points: Iterable[tuple[int, int, int]], pattern: Pattern) -> tuple[int, ...]:
+    """Starting x-coordinate, then the x-coordinates after recorded steps.
+
+    Raises ``ValueError`` for an empty path or an illegal step.
+    """
+    pts = [TreeLabel(*p) for p in points]
+    if not pts:
+        raise ValueError("a path has at least one point")
+    return (pts[0].x,) + tuple(
+        b.x for a, b in itertools.pairwise(pts) if is_recorded(a, b, pattern)
     )
-    return LatticePath(pts, flags)
-
-
-def signature_of(path: LatticePath) -> tuple[int, ...]:
-    """Starting x-coordinate, then the x-coordinates after recorded steps."""
-    sig = [path.points[0].x]
-    for point, flag in zip(path.points[1:], path.recorded):
-        if flag:
-            sig.append(point.x)
-    return tuple(sig)
 
 
 def path_profile(

@@ -14,7 +14,7 @@ from sigperm.core import Pattern
 from sigperm.gentree import children, level_counts, stats, successors, tree_root
 from sigperm.gf import (
     SeriesCache,
-    path_from_points,
+    is_recorded,
     path_profile,
     signature_of,
     signatures,
@@ -121,7 +121,7 @@ def test_criterion_06_series_versus_paths():
                             continue
                         series = cache.series(pattern, y - x, z, gamma)
                         for d in range(top + 1):
-                            assert series.coefficient(d) == profile.get(
+                            assert series[d] == profile.get(
                                 (gamma, d), 0
                             ), (pattern, (x, y, z), gamma, d)
                             checks += 1
@@ -157,12 +157,13 @@ def test_criterion_07_succession_rule_isomorphism():
 
 
 def test_criterion_08_signature_fixture():
-    path = path_from_points(PATH_2143, P2143)
-    assert "".join("R" if f else "." for f in path.recorded) == PATH_2143_FLAGS
-    assert signature_of(path) == SHARED_SIGNATURE
-    path = path_from_points(PATH_1234, P1234)
-    assert "".join("R" if f else "." for f in path.recorded) == PATH_1234_FLAGS
-    assert signature_of(path) == SHARED_SIGNATURE
+    for points, pattern, flags in (
+        (PATH_2143, P2143, PATH_2143_FLAGS),
+        (PATH_1234, P1234, PATH_1234_FLAGS),
+    ):
+        recorded = [is_recorded(a, b, pattern) for a, b in zip(points, points[1:])]
+        assert "".join("R" if r else "." for r in recorded) == flags
+        assert signature_of(points, pattern) == SHARED_SIGNATURE
     report(8, "both fixture paths validate with signature (4,3,4,2,2,2)")
 
 

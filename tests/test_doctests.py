@@ -1,6 +1,8 @@
-"""The ``>>>`` examples in the library's docstrings run as tests."""
+"""The ``>>>`` examples in the library's docstrings and README's library
+tour run as tests."""
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -12,5 +14,12 @@ from sigperm import core, gentree, gf, oracle
 )
 def test_docstring_examples(module):
     result = doctest.testmod(module)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_readme_tour():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
     assert result.failed == 0
     assert result.attempted > 0

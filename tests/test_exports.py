@@ -34,11 +34,7 @@ def test_test_only_api_stays_out():
     core = importlib.import_module("sigperm.core")
     assert not hasattr(core, "Occurrence") and not hasattr(core, "contains_naive")
     assert not hasattr(core.SignedPermutation, "occurrence_of")
-    # the path series are computed on coefficient tuples; the result type
-    # carries no series algebra of its own
+    # a series is its coefficient tuple and a path its point sequence
     gf = importlib.import_module("sigperm.gf")
-    algebra = (
-        "zero", "one", "geometric_power", "_match",
-        "__add__", "__sub__", "prefix_sums", "degree_bound",
-    )
-    assert [name for name in algebra if hasattr(gf.TruncatedSeries, name)] == []
+    gone = ("TruncatedSeries", "LatticePath", "path_from_points")
+    assert [name for name in gone if hasattr(gf, name) or hasattr(sigperm, name)] == []

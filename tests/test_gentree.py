@@ -374,12 +374,18 @@ class TestExplicitTree:
         }
 
     def test_caps(self, monkeypatch):
-        with pytest.raises(ValueError):
-            build_tree(P2143, 5, 1)
-        with pytest.raises(ValueError):
-            build_tree(P2143, 0, 7)
+        # the node cap counts the tree by level_counts before growing it
+        for j, depth in [(5, 1), (3, 6), (4, 5), (4, 6), (0, 10), (1, 8), (0, 10**9)]:
+            with pytest.raises(ValueError, match="capped"):
+                build_tree(P2143, j, depth)
+        sizes = [len(level) for level in tree_levels(build_tree(P2143, 0, 7))]
+        assert sizes == level_counts(P2143, 0, 7)  # 3 410 nodes, past the old depth cap
         monkeypatch.setattr(sigperm.gentree, "MAX_TREE_J", 5)
-        build_tree(P2143, 5, 1)  # the cap is read at call time
+        build_tree(P2143, 5, 1)  # the caps are read at call time
+        monkeypatch.setattr(sigperm.gentree, "MAX_TREE_NODES", 1_000)
+        with pytest.raises(ValueError, match="1000 nodes"):
+            build_tree(P2143, 1, 5)  # 2 760 nodes
+        build_tree(P2143, 1, 4)  # 512 nodes
 
 
 class TestLevelCounts:

@@ -1,7 +1,8 @@
-"""Truncated series, signatures, lattice paths, and the path series."""
+"""Signatures, lattice paths, and the path series."""
 
 import sys
 from collections import Counter
+from itertools import pairwise
 from math import comb
 
 import pytest
@@ -10,13 +11,10 @@ from sigperm.core import Pattern
 from sigperm.gentree import TreeLabel, level_counts, successors
 from sigperm.gf import (
     MAX_SIGNATURE_LENGTH,
-    LatticePath,
     SeriesCache,
-    TruncatedSeries,
     avoider_count_from_series,
     f_series,
     is_recorded,
-    path_from_points,
     path_profile,
     signature_of,
     signatures,
@@ -49,7 +47,7 @@ def per_signature_count(n, j, pattern):
     r = n - j + 1
     cache = SeriesCache(r)
     return sum(
-        cache.series(pattern, 0, j + 1, g).coefficient(r - len(g))
+        cache.series(pattern, 0, j + 1, g)[r - len(g)]
         for g in signatures(j + 1, r)
     )
 
@@ -59,29 +57,24 @@ def enumerated_profile(pattern, start, max_points):
     by one classified step and bucketed by its signature."""
     profile = Counter()
 
-    def extend(path):
-        sig = signature_of(path)
-        profile[(sig, len(path) - len(sig))] += 1
-        if len(path) < max_points:
-            here = path.points[-1]
+    def extend(points, sig):
+        profile[(sig, len(points) - len(sig))] += 1
+        if len(points) < max_points:
+            here = points[-1]
             for child in successors(here, pattern):
-                flag = is_recorded(here, child, pattern)
-                extend(LatticePath(path.points + (child,), path.recorded + (flag,)))
+                recorded = is_recorded(here, child, pattern)
+                extend(points + (child,), sig + (child.x,) if recorded else sig)
 
     if max_points >= 1:
-        extend(path_from_points([start], pattern))
+        extend((start,), (start[0],))
     return profile
 
 
-class TestTruncatedSeries:
-    def test_coefficient_bounds(self):
-        s = TruncatedSeries((7, 8))
-        assert s.coefficient(1) == 8
-        with pytest.raises(ValueError):
-            s.coefficient(2)
-
-    def test_str(self):
-        assert str(TruncatedSeries((1, 2, 3))) == "1 + 2*t + 3*t^2"
+def flags(points, pattern):
+    """The steps of a path: R = recorded, "." = unrecorded."""
+    return "".join(
+        "R" if is_recorded(a, b, pattern) else "." for a, b in pairwise(points)
+    )
 
 
 class TestSignatures:
@@ -119,12 +112,12 @@ class TestSeries:
                     else (1, 0, 0, 0, 0, 0, 0)
                 )
                 for q in (1, 3):
-                    assert f_series(pattern, k, q, (3,), 6).coeffs == expected
+                    assert f_series(pattern, k, q, (3,), 6) == expected
 
     def test_hand_computed_base(self):
         # F(0,1,(1,2)) = F(0,0,(1,2)) + F(0,1,(2)) = 0 + 1
-        assert f_series(P2143, 0, 1, (1, 2), 5).coeffs == (1, 0, 0, 0, 0, 0)
-        assert f_series(P1234, 0, 1, (1, 2), 5).coeffs == (1, 0, 0, 0, 0, 0)
+        assert f_series(P2143, 0, 1, (1, 2), 5) == (1, 0, 0, 0, 0, 0)
+        assert f_series(P1234, 0, 1, (1, 2), 5) == (1, 0, 0, 0, 0, 0)
 
     def test_rules_give_equal_series(self):
         cache_a, cache_b = SeriesCache(6), SeriesCache(6)
@@ -136,13 +129,19 @@ class TestSeries:
                             P1234, k, q, gamma
                         )
 
+    def test_repeat_call_returns_the_memoized_tuple(self):
+        cache = SeriesCache(6)
+        first = cache.series(P1234, 2, 3, [3, 2, 3])
+        assert type(first) is tuple and len(first) == 7
+        assert cache.series(P1234, 2, 3, (3, 2, 3)) is first
+
     def test_coefficients_nonnegative(self):
         cache = SeriesCache(8)
         for gamma in signatures(3, 3):
             for k in range(4):
                 for q in range(1, 4):
                     series = cache.series(P2143, k, q, gamma)
-                    assert all(c >= 0 for c in series.coeffs)
+                    assert all(c >= 0 for c in series)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -156,11 +155,11 @@ class TestSeries:
         message = "signature has 600 entries, more than the bound 200"
         with pytest.raises(ValueError, match=message):
             f_series(P2143, 0, 1, [2] * 600, 0)
-        assert f_series(P2143, 0, 1, [2] * MAX_SIGNATURE_LENGTH, 0).coeffs == (1,)
+        assert f_series(P2143, 0, 1, [2] * MAX_SIGNATURE_LENGTH, 0) == (1,)
 
     def test_zero_conventions(self):
-        assert f_series(P2143, 2, 0, (3, 2), 4).coeffs == (0,) * 5
-        assert f_series(P1234, 2, -1, (3,), 4).coeffs == (0,) * 5
+        assert f_series(P2143, 2, 0, (3, 2), 4) == (0,) * 5
+        assert f_series(P1234, 2, -1, (3,), 4) == (0,) * 5
 
 
 class TestCountExtraction:
@@ -232,6 +231,12 @@ class TestRecordedSteps:
         assert not is_recorded(TreeLabel(2, 8, 1), TreeLabel(2, 7, 1), P1234)
         assert is_recorded(TreeLabel(2, 4, 1), TreeLabel(2, 5, 1), P1234)
 
+    def test_plain_tuples(self):
+        assert is_recorded((4, 4, 3), (3, 5, 3), P2143)
+        assert not is_recorded((2, 8, 1), (2, 7, 1), P1234)
+        with pytest.raises(ValueError):
+            is_recorded((2, 4, 1), (2, 6, 1), P1234)
+
     def test_illegal_steps_raise(self):
         with pytest.raises(ValueError):
             is_recorded(TreeLabel(2, 4, 2), TreeLabel(2, 2, 1), P2143)
@@ -270,13 +275,18 @@ class TestRecordedSteps:
 
 class TestPaths:
     def test_fixture_paths_validate(self):
-        path = path_from_points(PATH_2143, P2143)
-        assert "".join("R" if f else "." for f in path.recorded) == PATH_2143_FLAGS
-        assert signature_of(path) == SHARED_SIGNATURE
+        assert flags(PATH_2143, P2143) == PATH_2143_FLAGS
+        assert signature_of(PATH_2143, P2143) == SHARED_SIGNATURE
 
-        path = path_from_points(PATH_1234, P1234)
-        assert "".join("R" if f else "." for f in path.recorded) == PATH_1234_FLAGS
-        assert signature_of(path) == SHARED_SIGNATURE
+        assert flags(PATH_1234, P1234) == PATH_1234_FLAGS
+        assert signature_of(PATH_1234, P1234) == SHARED_SIGNATURE
+
+    def test_signature_of_refuses_bad_paths(self):
+        assert signature_of([(3, 4, 2)], P2143) == (3,)
+        with pytest.raises(ValueError, match="at least one point"):
+            signature_of([], P2143)
+        with pytest.raises(ValueError, match="not a legal"):
+            signature_of([(2, 4, 2), (2, 2, 1)], P2143)
 
     def test_single_point_path(self):
         for pattern in BOTH:
@@ -313,10 +323,6 @@ class TestPaths:
                             max_points,
                         )
 
-    def test_flag_layout_validated(self):
-        with pytest.raises(ValueError):
-            LatticePath((TreeLabel(2, 2, 1),), (True,))
-
     @pytest.mark.parametrize("pattern", BOTH)
     def test_profile_matches_series_small_start(self, pattern):
         start = (2, 2, 1)
@@ -324,7 +330,7 @@ class TestPaths:
         cache = SeriesCache(4)
         for g in signatures(2, 4):
             for d in range(0, 4 - len(g) + 1):
-                assert cache.series(pattern, 0, 1, g).coefficient(d) == profile.get(
+                assert cache.series(pattern, 0, 1, g)[d] == profile.get(
                     (g, d), 0
                 ), (g, d)
 
@@ -336,6 +342,6 @@ class TestPaths:
             cache = SeriesCache(5)
             for g in signatures(2, 5):
                 for d in range(0, 5 - len(g) + 1):
-                    assert cache.series(pattern, 2, 2, g).coefficient(
-                        d
-                    ) == profile.get((g, d), 0), (pattern, g, d)
+                    assert cache.series(pattern, 2, 2, g)[d] == profile.get(
+                        (g, d), 0
+                    ), (pattern, g, d)
