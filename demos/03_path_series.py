@@ -65,6 +65,8 @@ print()
 print("Avoider counts are single coefficients, summed over signatures;")
 print("the library sums the signatures inside the recursion instead:")
 n = 5
+summed_row = avoider_count_from_series(n, P2143)[n]
+brute_row = avoider_counts(n, P2143)
 for j in range(n + 1):
     r = n - j + 1
     sigs = signatures(j + 1, r)
@@ -72,8 +74,7 @@ for j in range(n + 1):
     extracted = sum(
         cache.series(P2143, 0, j + 1, g)[r - len(g)] for g in sigs
     )
-    summed = avoider_count_from_series(n, j, P2143)
-    brute = avoider_counts(n, P2143)[j]
+    summed, brute = summed_row[j], brute_row[j]
     print(f"  n={n}, j={j}: {len(sigs):>3} signatures -> {extracted:>4} "
           f"(summed series: {summed}, exhaustive search: {brute})")
     assert extracted == summed == brute

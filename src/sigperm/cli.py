@@ -121,14 +121,6 @@ def _resolve_workers(args: argparse.Namespace) -> int:
     return oracle.usable_cpus()
 
 
-def _count_one(n: int, j: int, pattern: Pattern, method: str, workers: int) -> int:
-    if method == "brute":
-        return oracle.avoider_counts(n, pattern, workers=workers)[j]
-    if method == "tree":
-        return gentree.level_counts(pattern, j, n - j)[-1]
-    return gf.avoider_count_from_series(n, j, pattern)
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     pattern = Pattern.parse(args.pattern)
     method = args.method
@@ -156,7 +148,13 @@ def cmd_count(args: argparse.Namespace) -> int:
         cells = [(None, oracle.egge_formula(args.n))]
     else:
         js = [args.j] if args.j is not None else range(args.n + 1)
-        cells = [(j, _count_one(args.n, j, pattern, method, workers)) for j in js]
+        if method == "gf":
+            row = gf.avoider_count_from_series(args.n, pattern)[args.n]
+        elif method == "tree":
+            row = {j: gentree.level_counts(pattern, j, args.n - j)[-1] for j in js}
+        else:
+            row = {j: oracle.avoider_counts(args.n, pattern, workers)[j] for j in js}
+        cells = [(j, row[j]) for j in js]
         if args.j is None:
             cells.append((None, sum(c for _, c in cells)))
     rows = [
@@ -196,17 +194,14 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
     sizes = range(max_n + 1)
     routes = ("brute", "tree", "gf")
 
-    def route_rows(route: str, p: Pattern) -> list[tuple[int, ...]]:
+    def route_rows(route: str, p: Pattern) -> Sequence[tuple[int, ...]]:
         if route == "brute":
             return [oracle.avoider_counts(n, p, workers=workers) for n in sizes]
         if route == "tree":
             # one DP per j gives that column of every row
             levels = [gentree.level_counts(p, j, max_n - j) for j in sizes]
             return [tuple(levels[j][n - j] for j in range(n + 1)) for n in sizes]
-        return [
-            tuple(gf.avoider_count_from_series(n, j, p) for j in range(n + 1))
-            for n in sizes
-        ]
+        return gf.avoider_count_from_series(max_n, p)
 
     rows = {
         (route, str(p)): route_rows(route, p)

@@ -73,7 +73,7 @@ class Pattern(_Frozen):
         k = len(values)
         if not 1 <= k <= MAX_PATTERN_LENGTH:
             raise ValueError(f"pattern length {k} outside 1..{MAX_PATTERN_LENGTH}")
-        if sorted(values) != list(range(1, k + 1)):
+        if set(map(type, values)) != {int} or sorted(values) != list(range(1, k + 1)):
             raise ValueError(f"{values} is not a permutation of 1..{k}")
         object.__setattr__(self, "values", values)
 
@@ -327,7 +327,7 @@ class SignedPermutation(_Frozen):
         n = len(neg_images)
         seen = set()
         for v in neg_images:
-            if not isinstance(v, int) or v == 0 or abs(v) > n:
+            if type(v) is not int or v == 0 or abs(v) > n:
                 raise ValueError(f"entry {v!r} out of range for size {n}")
             if abs(v) in seen:
                 raise ValueError(f"repeated absolute value {abs(v)}")

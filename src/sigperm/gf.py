@@ -31,8 +31,8 @@ Summing F's rules over the signature tail gives, with ``s = 1/(1-t)`` and
 
 The length-1 signature contributes ``t * s^k`` at every ``q >= 1``, which is
 why it cancels from the first and last rules and survives only as the
-``[q == 1] t``.  Then ``|B_n^j| = [t^(n-j+1)] H(0, j+1, j+1)``, evaluated in
-time polynomial in ``n`` by :func:`avoider_count_from_series`.
+``[q == 1] t``.  Then ``|B_n^j| = [t^(n-j+1)] H(0, j+1, j+1)``; one table of
+``H`` holds every count with ``n <= N`` (:func:`avoider_count_from_series`).
 
 A series is a tuple of exact integer coefficients, one per degree up to the
 bound, and a path is a sequence of ``(x, y, z)`` points.
@@ -203,33 +203,34 @@ def f_series(
     return SeriesCache(degree_bound).series(pattern, k, q, gamma)
 
 
-def avoider_count_from_series(n: int, j: int, pattern: Pattern) -> int:
-    """``|B_n^j(pattern)|`` as the coefficient ``[t^(n-j+1)] H(0, j+1, j+1)``.
+def avoider_count_from_series(max_n: int, pattern: Pattern) -> tuple[tuple[int, ...], ...]:
+    """The rows ``(|B_n^0|, ..., |B_n^n|)`` of ``pattern`` for ``n = 0..max_n``.
 
-    Paths of ``n - j + 1`` points from the tree root ``(j+1, j+1, j+1)``
-    correspond to the avoiders, and ``H`` (module docstring) sums their
-    series over every signature.  Coefficient ``d`` of ``H(k, q, g1)`` needs
-    coefficient ``d`` at the same ``g1`` and a lower ``q`` or ``k``, and
-    coefficient ``d - 1`` of the tail terms, whose ``k + g1`` is at most one
-    higher.  So the coefficients are built one degree at a time over the
-    states with ``k + g1 + d <= n + 2``, without recursion; each tail sum
+    Each count is ``[t^(n-j+1)] H(0, j+1, j+1)`` (module docstring).
+    Coefficient ``d`` of ``H(k, q, g1)`` needs coefficient ``d`` at the same
+    ``g1`` and a lower ``q`` or ``k``, and coefficient ``d - 1`` of the tail
+    terms, whose ``k + g1`` is at most one higher.  So one table, built a
+    degree at a time without recursion over the states with ``q + d`` and
+    ``k + g1 + d`` at most ``max_n + 2``, holds every count.  Each tail sum
     ``T`` is a running sum along a diagonal ``k + g1 = const`` of the
-    previous degree, so the cost is ``O(n^2 (j + 1) (n - j + 1))`` integer
-    additions.
+    previous degree, so the triangle costs ``O(max_n^4)`` integer additions.
+
+    >>> avoider_count_from_series(3, Pattern((2, 1, 4, 3)))
+    ((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))
     """
-    if not 0 <= j <= n:
-        raise ValueError(f"statistic {j} outside 0..{n}")
+    if max_n < 0:
+        raise ValueError(f"size {max_n} must be nonnegative")
     rule_2143 = _require_tree_pattern(pattern)
-    root = j + 1
-    top = n + 2
+    top = max_n + 2
     # cur[(k, q, g1)] = [t^d] H(k, q, g1);
     # tails[(k + g1, q, m)] = sum over g2 = 2..m of cur[(k + g1 - g2, q, g2)]
     prev: dict[tuple[int, int, int], int] = {}
     prev_tails: dict[tuple[int, int, int], int] = {}
-    for d in range(1, n - j + 2):
+    by_degree = []  # by_degree[d - 1][j] = |B_(d+j-1)^j|
+    for d in range(1, top):
         cur: dict[tuple[int, int, int], int] = {}
         tails: dict[tuple[int, int, int], int] = {}
-        for q in range(1, root + 1):
+        for q in range(1, top - d + 1):
             as_2143 = rule_2143 or q == 1
             for diag in range(1, top - d + 1):
                 acc = 0
@@ -248,8 +249,9 @@ def avoider_count_from_series(n: int, j: int, pattern: Pattern) -> int:
                     if g1 >= 2:
                         acc += val
                     tails[(diag, q, g1)] = acc
+        by_degree.append([cur[(0, j + 1, j + 1)] for j in range(top - d)])
         prev, prev_tails = cur, tails
-    return prev[(0, root, root)]
+    return tuple(tuple(by_degree[n - j][j] for j in range(n + 1)) for n in range(max_n + 1))
 
 
 # ---------------------------------------------------------------------------

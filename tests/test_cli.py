@@ -299,9 +299,12 @@ class TestVerify:
     def test_type_d_slice_names_each_route(self, capsys, monkeypatch):
         true_series = sigperm.gf.avoider_count_from_series
 
-        def off_by_one(n, j, pattern):
-            # n - j even: the entry lies in the type-D slice
-            return true_series(n, j, pattern) + ((n, j, str(pattern)) == (2, 0, "2143"))
+        def off_by_one(max_n, pattern):
+            rows = true_series(max_n, pattern)
+            if str(pattern) != "2143":
+                return rows
+            # row 2, j 0: n - j is even, so the entry lies in the type-D slice
+            return rows[:2] + ((rows[2][0] + 1, *rows[2][1:]),) + rows[3:]
 
         monkeypatch.setattr(sigperm.gf, "avoider_count_from_series", off_by_one)
         code, doc = run_json(capsys, "verify", "--max-n", "3")

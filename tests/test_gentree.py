@@ -450,13 +450,17 @@ class TestLevelCounts:
 
     def test_far_row_agrees_with_series_and_formulas(self):
         # n = 20 is out of a test's reach when the DP lists every child label
+        # one DP per j gives that column of every row n <= 20
         n = 20
         rows = {}
         for pattern in BOTH:
-            row = [level_counts(pattern, j, n - j)[-1] for j in range(n + 1)]
-            series = [avoider_count_from_series(n, j, pattern) for j in range(n + 1)]
-            assert row == series
-            rows[str(pattern)] = row
+            levels = [level_counts(pattern, j, n - j) for j in range(n + 1)]
+            tree = tuple(
+                tuple(levels[j][m - j] for j in range(m + 1)) for m in range(n + 1)
+            )
+            assert tree == avoider_count_from_series(n, pattern)
+            rows[str(pattern)] = tree
         assert rows["1234"] == rows["2143"]
-        assert sum(rows["1234"]) == egge_formula(n)
-        assert rows["1234"][0] == classical_1234_formula(n)
+        for m, row in enumerate(rows["1234"]):
+            assert sum(row) == egge_formula(m), m
+            assert row[0] == classical_1234_formula(m), m

@@ -162,49 +162,75 @@ class TestSeries:
         assert f_series(P1234, 2, -1, (3,), 4) == (0,) * 5
 
 
+FAR_N = 40
+
+
+@pytest.fixture(scope="module")
+def far_triangles():
+    """The series triangles of both patterns up to ``FAR_N``, built once."""
+    return {str(p): avoider_count_from_series(FAR_N, p) for p in BOTH}
+
+
 class TestCountExtraction:
     def test_full_statistic(self):
         for pattern in BOTH:
+            triangle = avoider_count_from_series(4, pattern)
             for n in range(5):
-                assert avoider_count_from_series(n, n, pattern) == 1
+                assert triangle[n][n] == 1
 
     def test_size_one(self):
-        assert avoider_count_from_series(1, 0, P2143) == 1
+        assert avoider_count_from_series(1, P2143)[1][0] == 1
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_matches_brute_force(self, pattern):
+        triangle = avoider_count_from_series(4, pattern)
         for n in range(5):
-            row = avoider_counts(n, pattern)
-            for j in range(n + 1):
-                assert avoider_count_from_series(n, j, pattern) == row[j]
+            assert triangle[n] == avoider_counts(n, pattern), n
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_matches_per_signature_sum(self, pattern):
+        triangle = avoider_count_from_series(8, pattern)
         for n in range(9):
             for j in range(n + 1):
-                assert avoider_count_from_series(n, j, pattern) == per_signature_count(
-                    n, j, pattern
-                ), (n, j)
+                assert triangle[n][j] == per_signature_count(n, j, pattern), (n, j)
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_matches_label_dp_row(self, pattern):
         n = 12
+        triangle = avoider_count_from_series(n, pattern)
         for j in range(n + 1):
-            assert (
-                avoider_count_from_series(n, j, pattern)
-                == level_counts(pattern, j, n - j)[-1]
-            ), j
+            levels = level_counts(pattern, j, n - j)
+            for m in range(j, n + 1):
+                assert triangle[m][j] == levels[m - j], (m, j)
 
     @pytest.mark.parametrize("pattern", BOTH)
-    def test_totals_match_egge(self, pattern):
-        for n in range(17):
-            row = [avoider_count_from_series(n, j, pattern) for j in range(n + 1)]
+    def test_smaller_triangle_is_a_prefix(self, pattern):
+        # fewer degrees and layers must not change any row they still reach
+        big = avoider_count_from_series(20, pattern)
+        for max_n in (0, 1, 7, 12):
+            assert avoider_count_from_series(max_n, pattern) == big[: max_n + 1]
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_totals_match_egge(self, pattern, far_triangles):
+        triangle = far_triangles[str(pattern)]
+        assert len(triangle) == FAR_N + 1
+        for n, row in enumerate(triangle):
+            assert len(row) == n + 1
             assert sum(row) == egge_formula(n), n
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_far_classical_slice(self, pattern, far_triangles):
+        for n, row in enumerate(far_triangles[str(pattern)]):
+            assert row[0] == classical_1234_formula(n), n
+
+    def test_far_triangles_agree(self, far_triangles):
+        # the paper's theorem, far past the exhaustive scan's reach
+        assert far_triangles["1234"] == far_triangles["2143"]
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_size_thirty_at_default_recursion_limit(self, pattern):
         limit = sys.getrecursionlimit()
-        assert avoider_count_from_series(30, 0, pattern) == classical_1234_formula(30)
+        assert avoider_count_from_series(30, pattern)[30][0] == classical_1234_formula(30)
         assert sys.getrecursionlimit() == limit
 
     def test_longer_signatures_contribute_nothing(self):
@@ -216,8 +242,10 @@ class TestCountExtraction:
                 assert d >= 0
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            avoider_count_from_series(2, 3, P2143)
+        with pytest.raises(ValueError, match="size -1 must be nonnegative"):
+            avoider_count_from_series(-1, P2143)
+        with pytest.raises(ValueError, match="no generating tree"):
+            avoider_count_from_series(3, Pattern.parse("321"))
 
 
 class TestRecordedSteps:

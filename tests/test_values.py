@@ -75,6 +75,13 @@ def test_validation_unchanged():
         SignedPermutation([1, -1])
     with pytest.raises(ValueError, match="out of range for size 2"):
         SignedPermutation([1, 3])
+    # bool and float entries compare equal to ints but are not ints
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.2"):
+        Pattern([True, 2])
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.2"):
+        Pattern([2.0, 1.0])
+    with pytest.raises(ValueError, match="entry True out of range for size 2"):
+        SignedPermutation([True, -2])
 
 
 class TestListArguments:
