@@ -34,9 +34,14 @@ print()
 print("For contrast, a pattern pair that is NOT tied in the signed world:")
 p1234 = Pattern.parse("1234")
 p1243 = Pattern.parse("1243")
+p2134 = Pattern.parse("2134")  # the reverse complement of 1243
+totals = []
 for n in range(4):
     t1 = sum(avoider_counts(n, p1234))
     t2 = sum(avoider_counts(n, p1243))
     print(f"  n={n}: |avoiders(1234)| = {t1}, |avoiders(1243)| = {t2}")
-print("(no signed permutation embeds to 1243: the image sequence is always")
-print(" its own reverse complement, and 1243 is not.)")
+    totals.append((t1, t2))
+    assert avoider_counts(n, p2134) == avoider_counts(n, p1243)
+assert totals == [(1, 1), (2, 2), (7, 8), (33, 34)]
+print("(1243 leaves 1234 at n = 2; its reverse complement 2134 has the same")
+print(" statistic-refined rows as 1243.)")

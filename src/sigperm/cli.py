@@ -198,9 +198,7 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
         if route == "brute":
             return [oracle.avoider_counts(n, p, workers=workers) for n in sizes]
         if route == "tree":
-            # one DP per j gives that column of every row
-            levels = [gentree.level_counts(p, j, max_n - j) for j in sizes]
-            return [tuple(levels[j][n - j] for j in range(n + 1)) for n in sizes]
+            return gentree.tree_rows(max_n, p)
         return gf.avoider_count_from_series(max_n, p)
 
     rows = {

@@ -14,13 +14,19 @@ Three statistics label each node:
 * ``z`` - the layer number, counting from the layer of the largest inserted
   image up to the top.
 
+One pass of trial insertions per node gives both its label and its
+children; :func:`children`, :func:`stats` and :func:`build_tree` all run
+that pass, and :func:`active_sites` answers for a single gap.
+
 The label of a node determines the multiset of its children's labels.
 :func:`successors` lists each succession rule child by child.  The label
 dynamic program in :func:`level_counts` reproduces the tree's level sizes
 without building it: it holds the multiplicities of labels as rows over
 ``x``, one per ``(z, y)``, and sums each rule over whole rows with running
 and suffix sums, in time about linear in the number of labels per level.
-The two statements of each rule are checked against each other by the
+The DP from the root of statistic ``j`` gives column ``j`` of every row, so
+:func:`tree_rows` assembles the triangle of rows ``n <= N`` from one DP per
+``j``.  The two statements of each rule are checked against each other by the
 tests.
 """
 
@@ -50,6 +56,7 @@ __all__ = [
     "successors",
     "build_tree",
     "level_counts",
+    "tree_rows",
 ]
 
 
@@ -147,13 +154,9 @@ def children(w: SignedPermutation, pattern: Pattern) -> list[SignedPermutation]:
     already inserted, which is what makes the construction reach every
     avoider exactly once.
     """
-    _require_tree_pattern(pattern)
+    is_2143 = _require_tree_pattern(pattern)
     _require_avoider(w, pattern)
-    return [
-        SignedPermutation(word)
-        for gap in range(_max_inserted(w) + 1, w.n + 2)
-        for _, word in _accepted(w, gap, pattern)
-    ]
+    return _expand(w, pattern, is_2143, True)[1]
 
 
 def _sites_before_first_turn(w: SignedPermutation, is_2143: bool) -> int:
@@ -176,9 +179,21 @@ def _layer_number(w: SignedPermutation) -> int:
     return 1 + sum(1 for h in heights if h > m)
 
 
-def _label(w: SignedPermutation, is_2143: bool, y: int) -> TreeLabel:
-    """The label of ``w`` given its active-site count ``y``."""
-    return TreeLabel(_sites_before_first_turn(w, is_2143), y, _layer_number(w))
+def _expand(
+    w: SignedPermutation, pattern: Pattern, is_2143: bool, grow: bool
+) -> tuple[TreeLabel, list[SignedPermutation]]:
+    """The label of ``w`` and, if ``grow``, its children, from one pass of
+    trial insertions; ``w`` must avoid ``pattern``.  y is read at
+    :func:`_label_gap`, the only gap tried when not growing."""
+    label_gap = _label_gap(w, is_2143)
+    y, kids = 0, []
+    for gap in range(_max_inserted(w) + 1, w.n + 2) if grow else (label_gap,):
+        accepted = _accepted(w, gap, pattern)
+        if gap == label_gap:
+            y = len(accepted)
+        if grow:
+            kids += (SignedPermutation(word) for _, word in accepted)
+    return TreeLabel(_sites_before_first_turn(w, is_2143), y, _layer_number(w)), kids
 
 
 def active_sites(
@@ -211,8 +226,8 @@ def stats(w: SignedPermutation, pattern: Pattern) -> TreeLabel:
     TreeLabel(x=3, y=7, z=3)
     """
     is_2143 = _require_tree_pattern(pattern)
-    y = len(active_sites(w, pattern))  # rejects a containing w
-    return _label(w, is_2143, y)
+    _require_avoider(w, pattern)
+    return _expand(w, pattern, is_2143, False)[0]
 
 
 def successors(label: TreeLabel, pattern: Pattern) -> list[TreeLabel]:
@@ -376,6 +391,7 @@ def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     is_2143 = _require_tree_pattern(pattern)
+    root = tree_root(pattern, j)
     # every node below the root has x >= 2, so at least two children: a tree
     # of this depth has at least 2**depth nodes, and the label DP need not run
     too_deep = depth >= MAX_TREE_NODES.bit_length()
@@ -386,21 +402,9 @@ def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
         )
 
     def grow(w: SignedPermutation, levels: int) -> PermTreeNode:
-        label_gap = _label_gap(w, is_2143)
-        gaps = range(_max_inserted(w) + 1, w.n + 2) if levels else (label_gap,)
-        y = 0
-        kids = []
-        for gap in gaps:
-            accepted = _accepted(w, gap, pattern)
-            if gap == label_gap:
-                y = len(accepted)
-            if levels:
-                kids.extend(
-                    grow(SignedPermutation(word), levels - 1) for _, word in accepted
-                )
-        return PermTreeNode(w, _label(w, is_2143, y), kids)
+        label, kids = _expand(w, pattern, is_2143, levels > 0)
+        return PermTreeNode(w, label, [grow(kid, levels - 1) for kid in kids])
 
-    root = tree_root(pattern, j)
     _require_avoider(root, pattern)
     return grow(root, depth)
 
@@ -425,3 +429,20 @@ def level_counts(pattern: Pattern, j: int, max_depth: int) -> list[int]:
         rows = _next_level(rows, is_2143)
         counts.append(sum(map(sum, rows.values())))
     return counts
+
+
+def tree_rows(max_n: int, pattern: Pattern) -> tuple[tuple[int, ...], ...]:
+    """The rows ``(|B_n^0|, ..., |B_n^n|)`` of ``pattern`` for ``n = 0..max_n``.
+
+    The label DP from the root of statistic ``j`` gives column ``j`` of
+    every row at once, so the triangle costs one :func:`level_counts` per
+    ``j``.  Raises ``ValueError`` for ``max_n < 0`` and for a pattern with
+    no generating tree.
+
+    >>> tree_rows(3, PATTERN_2143)
+    ((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))
+    """
+    if max_n < 0:
+        raise ValueError(f"size {max_n} must be nonnegative")
+    columns = [level_counts(pattern, j, max_n - j) for j in range(max_n + 1)]
+    return tuple(tuple(columns[j][n - j] for j in range(n + 1)) for n in range(max_n + 1))

@@ -465,3 +465,11 @@ class TestTree:
         assert sorted(tuple(c["label"]) for c in doc["tree"]["children"]) == sorted(
             sigperm.gentree.successors(TreeLabel(3, 3, 3), sigperm.gentree.PATTERN_2143)
         )
+
+    def test_negative_statistic_is_named(self, capsys):
+        # the statistic is checked before the node cap runs the label DP
+        with pytest.raises(SystemExit) as exc:
+            main(["tree", "--pattern", "2143", "--j", "-1", "--depth", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["sigperm tree: error: statistic must be nonnegative"]

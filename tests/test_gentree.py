@@ -15,6 +15,7 @@ from sigperm.gentree import (
     stats,
     successors,
     tree_root,
+    tree_rows,
 )
 from sigperm.gentree import _next_level
 from sigperm.gf import avoider_count_from_series
@@ -372,6 +373,20 @@ class TestExplicitTree:
         assert {w for w, _ in trials} == {
             node.perm for level in tree_levels(root) for node in level
         }
+        # children: one whole scan, one trial pass per admissible gap
+        w = root.children[0].children[0].perm
+        m = max(v for v in w.neg_images if v > 0)
+        assert w.n + 1 - m >= 2  # more than one gap to try
+        del scans[:], trials[:]
+        children(w, pattern)
+        assert scans == [w.full_images()]
+        assert trials == [(w, gap) for gap in range(m + 1, w.n + 2)]
+        # stats: one whole scan, one trial pass at the gap that gives y
+        label_gap = m + 1 if pattern == P2143 else w.n + 1
+        del scans[:], trials[:]
+        stats(w, pattern)
+        assert scans == [w.full_images()]
+        assert trials == [(w, label_gap)]
 
     def test_caps(self, monkeypatch):
         # the node cap counts the tree by level_counts before growing it
@@ -450,17 +465,40 @@ class TestLevelCounts:
 
     def test_far_row_agrees_with_series_and_formulas(self):
         # n = 20 is out of a test's reach when the DP lists every child label
-        # one DP per j gives that column of every row n <= 20
         n = 20
         rows = {}
         for pattern in BOTH:
-            levels = [level_counts(pattern, j, n - j) for j in range(n + 1)]
-            tree = tuple(
-                tuple(levels[j][m - j] for j in range(m + 1)) for m in range(n + 1)
-            )
-            assert tree == avoider_count_from_series(n, pattern)
-            rows[str(pattern)] = tree
+            rows[str(pattern)] = tree_rows(n, pattern)
+            assert rows[str(pattern)] == avoider_count_from_series(n, pattern)
         assert rows["1234"] == rows["2143"]
         for m, row in enumerate(rows["1234"]):
             assert sum(row) == egge_formula(m), m
             assert row[0] == classical_1234_formula(m), m
+
+
+class TestTreeRows:
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_smaller_triangle_is_a_prefix(self, pattern):
+        big = tree_rows(12, pattern)
+        for max_n in (0, 1, 5, 12):
+            assert tree_rows(max_n, pattern) == big[: max_n + 1]
+
+    def test_rejects_negative_size_and_other_patterns(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            tree_rows(-1, P2143)
+        with pytest.raises(ValueError, match="no generating tree"):
+            tree_rows(3, Pattern.parse("1243"))
+
+    def test_one_label_dp_per_column(self, monkeypatch):
+        # the DP from statistic j gives column j of every row; the DP is
+        # looked up as a module attribute, so a wrapper on it sees each call
+        calls = []
+        true_level_counts = sigperm.gentree.level_counts
+
+        def level_counts_spy(pattern, j, max_depth):
+            calls.append((j, max_depth))
+            return true_level_counts(pattern, j, max_depth)
+
+        monkeypatch.setattr(sigperm.gentree, "level_counts", level_counts_spy)
+        tree_rows(4, P1234)
+        assert calls == [(j, 4 - j) for j in range(5)]
