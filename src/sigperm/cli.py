@@ -100,9 +100,17 @@ def _emit(
 def _guard_cost(
     args: argparse.Namespace, option: str, sizes: Sequence[int], scans: int
 ) -> None:
-    """Refuse a brute-force scan past ``BRUTE_GUARD`` unless ``--allow-long``;
+    """Refuse a brute-force count past ``BRUTE_GUARD`` unless ``--allow-long``;
     the estimate is one containment check per signed permutation of each
-    size, for each of ``scans`` whole scans."""
+    size, for each of ``scans`` whole scans.
+
+    ``conjecture`` walks the avoiders instead (``oracle.avoider_rows``): each
+    avoider of size ``n - 1`` has ``2n`` children, each checked once through
+    its new entry.  There are at most ``2^(n-1) (n-1)!`` such avoiders, so
+    for a pattern that is its own reverse complement the walk makes no more
+    pinned checks than the estimate counts for one scan; any other pattern
+    also checks through the mirror entry, at most twice as many.
+    """
     size = max(sizes)
     if size > BRUTE_GUARD and not args.allow_long:
         checks = scans * sum(2**n * math.factorial(n) for n in sizes)
@@ -290,20 +298,19 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
     workers = _resolve_workers(args)
     started = time.perf_counter()
-    rows: list[dict[str, Any]] = []
-    for n in range(args.max_n + 1):
-        row1 = oracle.avoider_counts(n, p1, workers=workers)
-        row2 = oracle.avoider_counts(n, p2, workers=workers)
-        rows.extend(
-            {
-                "n": n,
-                "j": j,
-                "count1": str(row1[j]),
-                "count2": str(row2[j]),
-                "equal": row1[j] == row2[j],
-            }
-            for j in range(n + 1)
-        )
+    rows1 = oracle.avoider_rows(args.max_n, p1, workers=workers)
+    rows2 = oracle.avoider_rows(args.max_n, p2, workers=workers)
+    rows = [
+        {
+            "n": n,
+            "j": j,
+            "count1": str(row1[j]),
+            "count2": str(row2[j]),
+            "equal": row1[j] == row2[j],
+        }
+        for n, (row1, row2) in enumerate(zip(rows1, rows2))
+        for j in range(n + 1)
+    ]
     manifest = {
         "patterns": [str(p1), str(p2)],
         "n_max": args.max_n,

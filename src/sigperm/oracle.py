@@ -3,6 +3,13 @@
 Everything here is independent of the generating-tree and generating-function
 machinery, so the three counting routes can be checked against each other.
 All counts are exact Python integers.
+
+Two brute routes count avoiders.  :func:`avoider_counts` scans every word of
+``B_n`` whole with the containment kernel.  :func:`avoider_rows` grows the
+avoiders depth-first and checks each new word only through its new entries
+with the pinned kernel, ``core.find_occurrence_through``; ``gentree`` grows
+its trees with that same kernel, so ``verify`` keeps the whole-word scan as
+its independent check of the tree route.
 """
 
 from __future__ import annotations
@@ -12,21 +19,28 @@ import os
 from functools import lru_cache
 from math import comb
 from operator import mul
+from typing import Iterator
 
-from .core import Pattern, find_occurrence_positions, _negative_halves
+from .core import (
+    Pattern,
+    _negative_halves,
+    find_occurrence_positions,
+    find_occurrence_through,
+)
 
 __all__ = [
     "catalan",
     "egge_formula",
     "classical_1234_formula",
     "avoider_counts",
+    "avoider_rows",
     "type_d_avoiders",
     "classical_avoiders",
     "usable_cpus",
 ]
 
 
-# concurrent.futures.ProcessPoolExecutor, bound by the first pooled scan: the
+# concurrent.futures.ProcessPoolExecutor, bound by the first pooled count: the
 # pool machinery (multiprocessing, logging, socket) costs start-up time that no
 # serial command needs.  Tests and perfbench's tracer may bind a stand-in first.
 ProcessPoolExecutor = None
@@ -115,6 +129,24 @@ def _avoider_row(n: int, pattern_values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(_count_row(n, pattern_values, None))
 
 
+def _pool_map(
+    fn, size: int, pattern_values: tuple[int, ...], blocks: list, workers: int
+) -> list:
+    """``[fn(size, pattern_values, block) for block in blocks]``, run in a
+    process pool of at most ``min(workers, len(blocks), usable_cpus())``
+    processes; no pool starts for no blocks."""
+    if not blocks:
+        return []
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    pool_size = min(workers, len(blocks), usable_cpus())
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        return list(
+            pool.map(fn, itertools.repeat(size), itertools.repeat(pattern_values), blocks)
+        )
+
+
 def avoider_counts(
     n: int, pattern: Pattern, workers: int | None = None
 ) -> tuple[int, ...]:
@@ -131,22 +163,100 @@ def avoider_counts(
         raise ValueError("size must be nonnegative")
     if workers is not None and workers > 1 and n >= 2:
         firsts = [v for v in range(-n, n + 1) if v != 0]
-        counts = [0] * (n + 1)
-        pool_size = min(workers, len(firsts), usable_cpus())
-        global ProcessPoolExecutor
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for block in pool.map(
-                _count_row,
-                itertools.repeat(n),
-                itertools.repeat(pattern.values),
-                firsts,
-            ):
-                for j, c in enumerate(block):
-                    counts[j] += c
-        return tuple(counts)
+        blocks = _pool_map(_count_row, n, pattern.values, firsts, workers)
+        return tuple(map(sum, zip(*blocks)))
     return _avoider_row(n, pattern.values)
+
+
+def _avoiding_children(
+    full: tuple[int, ...], j: int, pattern: Pattern, mirror: bool
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The children of an avoider that still avoid ``pattern``, with their
+    statistic.
+
+    ``full`` is the avoider's image sequence, of size ``m``.  A child puts
+    ``v = m + 1`` or ``-(m + 1)`` at index ``cut`` of the negative half and
+    ``-v`` at the mirror index ``2m + 1 - cut``; every occurrence in it uses
+    one of the two, since ``full`` avoids ``pattern``.  An occurrence through
+    ``-v`` reflects to one of the reverse complement through ``v``, so with
+    ``mirror`` unset (``pattern`` is its own reverse complement) the check
+    through ``v`` alone decides.
+    """
+    m = len(full) // 2
+    n = m + 1
+    for cut in range(n):
+        left, middle, right = full[:cut], full[cut : 2 * m - cut], full[2 * m - cut :]
+        for v, child_j in ((n, j), (-n, j + 1)):
+            child = left + (v,) + middle + (-v,) + right
+            if find_occurrence_through(child, pattern, cut) is None and (
+                not mirror
+                or find_occurrence_through(child, pattern, 2 * n - 1 - cut) is None
+            ):
+                yield child, child_j
+
+
+def _subtree_rows(
+    max_n: int, pattern_values: tuple[int, ...], seed: tuple[tuple[int, ...], int]
+) -> list[list[int]]:
+    """Rows ``n = 0..max_n`` of the avoiders strictly below one avoider
+    ``seed = (full image sequence, statistic)``, walked depth-first; the
+    rows up to the seed's own size are zero."""
+    pattern = Pattern(pattern_values)
+    mirror = pattern.reverse_complement() != pattern
+    rows = [[0] * (n + 1) for n in range(max_n + 1)]
+
+    def visit(full: tuple[int, ...], j: int) -> None:
+        n = len(full) // 2 + 1
+        row = rows[n]
+        for child, child_j in _avoiding_children(full, j, pattern, mirror):
+            row[child_j] += 1
+            if n < max_n:
+                visit(child, child_j)
+
+    full, j = seed
+    if len(full) // 2 < max_n:
+        visit(full, j)
+    return rows
+
+
+def avoider_rows(
+    max_n: int, pattern: Pattern, workers: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The rows ``(|B_n^0|, ..., |B_n^n|)`` of ``pattern`` for ``n = 0..max_n``.
+
+    Avoidance is hereditary: deleting the pair ``±n`` from an avoider of
+    size ``n`` leaves an avoider of size ``n - 1``.  So one depth-first walk
+    from the empty word reaches every avoider, each once, and checks each
+    child only through its new entries (``2n`` children per avoider of size
+    ``n - 1``, one or two pinned checks each).  With ``workers > 1`` the
+    walk runs serially down to the seed size ``max_n // 2``, and the
+    subtree below each avoider of that size is one block of a process pool
+    of at most ``min(workers, blocks, usable_cpus())`` processes; the
+    blocks' rows are summed, so the result equals the serial walk's.
+    Raises ``ValueError`` for ``max_n < 0``.
+
+    >>> avoider_rows(3, Pattern.parse("2143"))
+    ((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))
+    """
+    if max_n < 0:
+        raise ValueError("size must be nonnegative")
+    pooled = workers is not None and workers > 1 and max_n >= 2
+    mirror = pattern.reverse_complement() != pattern
+    rows = [[0] * (n + 1) for n in range(max_n + 1)]
+    rows[0][0] = 1
+    seeds = [((), 0)]
+    for n in range(1, max_n // 2 + 1 if pooled else 1):
+        seeds = [c for seed in seeds for c in _avoiding_children(*seed, pattern, mirror)]
+        for _, j in seeds:
+            rows[n][j] += 1
+    if pooled:
+        blocks = _pool_map(_subtree_rows, max_n, pattern.values, seeds, workers)
+    else:
+        blocks = [_subtree_rows(max_n, pattern.values, seeds[0])]
+    for block in blocks:
+        for row, block_row in zip(rows, block):
+            row[:] = map(sum, zip(row, block_row))
+    return tuple(map(tuple, rows))
 
 
 def type_d_avoiders(n: int, pattern: Pattern) -> int:

@@ -340,6 +340,31 @@ class TestConjecture:
         assert code == 0
         assert all(row["equal"] for row in doc["rows"])
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_walk_per_pattern_and_no_scan(self, capsys, monkeypatch, threads):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("conjecture scanned a whole group")
+
+        calls = []
+        walk = sigperm.oracle.avoider_rows
+
+        def recording_walk(max_n, pattern, workers=None):
+            calls.append((max_n, str(pattern), workers))
+            return walk(max_n, pattern, workers)
+
+        monkeypatch.setattr(sigperm.oracle, "avoider_counts", no_scan)
+        monkeypatch.setattr(sigperm.oracle, "avoider_rows", recording_walk)
+        code, doc = run_json(
+            capsys,
+            "conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "4",
+            "--threads", threads,
+        )
+        assert code == 0
+        assert all(row["equal"] for row in doc["rows"])
+        assert len(doc["rows"]) == sum(n + 1 for n in range(5))
+        workers = int(threads)
+        assert calls == [(4, "12345", workers), (4, "21354", workers)]
+
     def test_theorem_pair_through_generic_path(self, capsys):
         code, doc = run_json(
             capsys, "conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "4"

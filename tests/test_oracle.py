@@ -1,6 +1,7 @@
 """Brute-force counts and the closed-form evaluators."""
 
 import functools
+import itertools
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from math import comb, factorial
@@ -12,6 +13,7 @@ from sigperm.core import Pattern
 from sigperm.oracle import (
     _count_row,
     avoider_counts,
+    avoider_rows,
     catalan,
     classical_1234_formula,
     classical_avoiders,
@@ -21,6 +23,14 @@ from sigperm.oracle import (
 
 P1234 = Pattern.parse("1234")
 P2143 = Pattern.parse("2143")
+
+
+def scan_3(**kwargs):
+    return avoider_counts(3, P2143, **kwargs)
+
+
+def walk_6(**kwargs):
+    return avoider_rows(6, P2143, **kwargs)
 
 
 class TestExactArithmetic:
@@ -145,11 +155,22 @@ class TestParallel:
         parallel = avoider_counts(5, P2143, workers=2)
         assert serial == parallel
 
+    # the scan of size 3 splits into 2n = 6 blocks; the walk to size 6 into
+    # the 33 avoiders of 2143 at its seed size 6 // 2 = 3
     @pytest.mark.parametrize(
-        "workers, cpus, expected",
-        [(1000, 64, 6), (1000, 3, 3), (2, 64, 2)],
+        "count, workers, cpus, expected",
+        [
+            pytest.param(scan_3, 1000, 64, 6, id="1000-64-6"),
+            pytest.param(scan_3, 1000, 3, 3, id="1000-3-3"),
+            pytest.param(scan_3, 2, 64, 2, id="2-64-2"),
+            pytest.param(walk_6, 1000, 64, 33, id="walk-1000-64-33"),
+            pytest.param(walk_6, 1000, 3, 3, id="walk-1000-3-3"),
+            pytest.param(walk_6, 2, 64, 2, id="walk-2-64-2"),
+        ],
     )
-    def test_pool_capped_by_blocks_and_cpus(self, monkeypatch, workers, cpus, expected):
+    def test_pool_capped_by_blocks_and_cpus(
+        self, monkeypatch, count, workers, cpus, expected
+    ):
         # a stand-in executor: records the pool size, runs the blocks inline
         sizes = []
 
@@ -166,11 +187,11 @@ class TestParallel:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        serial = count()
         monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: cpus)
-        assert avoider_counts(3, P2143, workers=workers) == avoider_counts(3, P2143)
+        assert count(workers=workers) == serial
         assert sizes == [expected]
-
 
     def test_spawned_workers(self, monkeypatch):
         # spawned workers start from a fresh interpreter, so each builds its
@@ -180,3 +201,49 @@ class TestParallel:
         )
         monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", spawn)
         assert avoider_counts(4, P2143, workers=2) == avoider_counts(4, P2143)
+        assert avoider_rows(4, P2143, workers=2) == avoider_rows(4, P2143)
+
+
+def _scan_rows(max_n, pattern):
+    return tuple(avoider_counts(n, pattern) for n in range(max_n + 1))
+
+
+ALL_UP_TO_4 = [
+    "".join(map(str, perm))
+    for k in range(1, 5)
+    for perm in itertools.permutations(range(1, k + 1))
+]
+
+
+class TestAvoiderRows:
+    """The depth-first walk against the whole-word scan, which checks every
+    word of B_n whole and never uses the pinned kernel the walk relies on."""
+
+    # 132, 1243, 1342, 2134 and 13524 are not their own reverse complements:
+    # a walk that skipped the check through the mirror entry got their rows
+    # wrong, the first four already at n = 3
+    @pytest.mark.parametrize("pattern", ALL_UP_TO_4)
+    def test_matches_scan_for_short_patterns(self, pattern):
+        p = Pattern.parse(pattern)
+        assert avoider_rows(5, p) == _scan_rows(5, p)
+
+    @pytest.mark.parametrize("pattern", ["12345", "21354", "13524"])
+    def test_matches_scan_for_length_five(self, pattern):
+        p = Pattern.parse(pattern)
+        assert avoider_rows(6, p) == _scan_rows(6, p)
+
+    def test_size_zero(self):
+        assert avoider_rows(0, P2143) == ((1,),)
+
+    # pattern 1 leaves no avoider at the seed size, so no block and no pool
+    @pytest.mark.parametrize("pattern", ["1", "1243", "21354"])
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 5])
+    def test_pooled_matches_serial(self, pattern, max_n):
+        p = Pattern.parse(pattern)
+        assert avoider_rows(max_n, p, workers=2) == avoider_rows(max_n, p)
+
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError):
+            avoider_rows(-1, P2143)
+        with pytest.raises(ValueError):
+            avoider_rows(-1, P2143, workers=2)

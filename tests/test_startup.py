@@ -38,3 +38,26 @@ def test_cli_import_skips_pool_and_dataclasses():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "True", "True"]
+
+
+CONJECTURE = """
+import contextlib, io, sys
+before = set(sys.modules)
+from sigperm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "4", "--threads", "1"])
+print(code, "concurrent.futures" in set(sys.modules) - before)
+"""
+
+
+def test_serial_conjecture_starts_no_pool_machinery():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", CONJECTURE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0 False"]
