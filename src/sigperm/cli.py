@@ -105,11 +105,11 @@ def _guard_cost(
     size, for each of ``scans`` whole scans.
 
     ``conjecture`` walks the avoiders instead (``oracle.avoider_rows``): each
-    avoider of size ``n - 1`` has ``2n`` children, each checked once through
-    its new entry.  There are at most ``2^(n-1) (n-1)!`` such avoiders, so
-    for a pattern that is its own reverse complement the walk makes no more
-    pinned checks than the estimate counts for one scan; any other pattern
-    also checks through the mirror entry, at most twice as many.
+    of the at most ``2^(n-1) (n-1)!`` avoiders of size ``n - 1`` has ``2n``
+    children, each checked through its new entry, so a walk makes at most
+    as many pinned checks as one scan.  A pattern that is not its own
+    reverse complement is also checked through the mirror entry, so it
+    counts as two scans.
     """
     size = max(sizes)
     if size > BRUTE_GUARD and not args.allow_long:
@@ -196,23 +196,37 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
 
     Every route's rows are computed once, before any check reads them; each
     check is a generator of failure details, consumed only up to its first
-    failure.
+    failure.  The brute scan runs in one process pool while this process
+    computes the tree and series rows and the series-grid check.
     """
-    p1234, p2143 = gentree.TREE_PATTERNS
+    p1234, p2143 = patterns = gentree.TREE_PATTERNS
     sizes = range(max_n + 1)
     routes = ("brute", "tree", "gf")
 
-    def route_rows(route: str, p: Pattern) -> Sequence[tuple[int, ...]]:
-        if route == "brute":
-            return [oracle.avoider_counts(n, p, workers=workers) for n in sizes]
-        if route == "tree":
-            return gentree.tree_rows(max_n, p)
-        return gf.avoider_count_from_series(max_n, p)
+    def series_grid() -> Iterator[str]:
+        cache_a, cache_b = gf.SeriesCache(10), gf.SeriesCache(10)
+        for g1 in range(1, 6):
+            for gamma in gf.signatures(g1, 4):
+                for k in range(6):
+                    for q in range(1, 6):
+                        if cache_a.series(p2143, k, q, gamma) != cache_b.series(
+                            p1234, k, q, gamma
+                        ):
+                            yield f"k={k} q={q} gamma={gamma}"
 
+    with oracle.scan_rows(max_n, patterns, workers) as collect_scan:
+        exact = {
+            "tree": [gentree.tree_rows(max_n, p) for p in patterns],
+            "gf": [gf.avoider_count_from_series(max_n, p) for p in patterns],
+        }
+        grid = _check_row(
+            "series-grid", "k<=5 q<=5 gamma1<=5 len<=4 at degree 10", series_grid()
+        )
+        by_route = {"brute": collect_scan(), **exact}
     rows = {
-        (route, str(p)): route_rows(route, p)
+        (route, str(p)): row
         for route in routes
-        for p in gentree.TREE_PATTERNS
+        for p, row in zip(patterns, by_route[route])
     }
 
     def cross_method(pattern: Pattern) -> Iterator[str]:
@@ -243,29 +257,13 @@ def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
             if len(set(slices.values())) != 1:
                 yield f"n={n}: slices={slices}"
 
-    def series_grid() -> Iterator[str]:
-        cache_a, cache_b = gf.SeriesCache(10), gf.SeriesCache(10)
-        for g1 in range(1, 6):
-            for gamma in gf.signatures(g1, 4):
-                for k in range(6):
-                    for q in range(1, 6):
-                        if cache_a.series(p2143, k, q, gamma) != cache_b.series(
-                            p1234, k, q, gamma
-                        ):
-                            yield f"k={k} q={q} gamma={gamma}"
-
     scope = f"n <= {max_n}"
     return [
-        *(
-            _check_row(f"cross-method[{p}]", scope, cross_method(p))
-            for p in gentree.TREE_PATTERNS
-        ),
+        *(_check_row(f"cross-method[{p}]", scope, cross_method(p)) for p in patterns),
         _check_row("refined-wilf", scope, refined_wilf()),
         _check_row("egge-total", scope, egge_total()),
         _check_row("type-d-slice", scope, type_d_slice()),
-        _check_row(
-            "series-grid", "k<=5 q<=5 gamma1<=5 len<=4 at degree 10", series_grid()
-        ),
+        grid,
     ]
 
 
@@ -295,7 +293,8 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         raise ValueError("the two patterns must have equal length")
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
+    walks = sum(1 if p.reverse_complement() == p else 2 for p in (p1, p2))
+    _guard_cost(args, "--max-n", range(args.max_n + 1), walks)
     workers = _resolve_workers(args)
     started = time.perf_counter()
     rows1 = oracle.avoider_rows(args.max_n, p1, workers=workers)

@@ -5,7 +5,9 @@ machinery, so the three counting routes can be checked against each other.
 All counts are exact Python integers.
 
 Two brute routes count avoiders.  :func:`avoider_counts` scans every word of
-``B_n`` whole with the containment kernel.  :func:`avoider_rows` grows the
+``B_n`` whole with the containment kernel, and :func:`scan_rows` gives that
+scan's rows for every size up to ``N`` and several patterns, from one process
+pool that works while the caller does.  :func:`avoider_rows` grows the
 avoiders depth-first and checks each new word only through its new entries
 with the pinned kernel, ``core.find_occurrence_through``; ``gentree`` grows
 its trees with that same kernel, so ``verify`` keeps the whole-word scan as
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 import itertools
 import os
+from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     Pattern,
@@ -33,6 +36,7 @@ __all__ = [
     "egge_formula",
     "classical_1234_formula",
     "avoider_counts",
+    "scan_rows",
     "avoider_rows",
     "type_d_avoiders",
     "classical_avoiders",
@@ -129,22 +133,39 @@ def _avoider_row(n: int, pattern_values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(_count_row(n, pattern_values, None))
 
 
-def _pool_map(
-    fn, size: int, pattern_values: tuple[int, ...], blocks: list, workers: int
-) -> list:
-    """``[fn(size, pattern_values, block) for block in blocks]``, run in a
-    process pool of at most ``min(workers, len(blocks), usable_cpus())``
-    processes; no pool starts for no blocks."""
+@contextmanager
+def _pool_map(fn, blocks: list[tuple], workers: int) -> Iterator[Iterator]:
+    """Within the ``with`` block, the results ``fn(*block)`` of ``blocks`` in
+    order, computed in a process pool of at most
+    ``min(workers, len(blocks), usable_cpus())`` processes.
+
+    Every block is submitted on entry, so the caller may work inside the
+    block while the pool does; leaving the block, also by an exception,
+    waits for every worker.  No pool starts for no blocks.
+    """
     if not blocks:
-        return []
+        yield iter(())
+        return
     global ProcessPoolExecutor
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     pool_size = min(workers, len(blocks), usable_cpus())
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(
-            pool.map(fn, itertools.repeat(size), itertools.repeat(pattern_values), blocks)
-        )
+        yield pool.map(fn, *zip(*blocks))
+
+
+def _scan_blocks(
+    sizes: Sequence[int], patterns: Sequence[tuple[int, ...]]
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """The ``_count_row`` arguments ``(n, pattern values, first image)`` of
+    the whole-word scans of ``sizes`` and ``patterns``, in that order."""
+    return [
+        (n, values, first)
+        for n in sizes
+        for values in patterns
+        for first in range(-n, n + 1)
+        if first
+    ]
 
 
 def avoider_counts(
@@ -162,10 +183,53 @@ def avoider_counts(
     if n < 0:
         raise ValueError("size must be nonnegative")
     if workers is not None and workers > 1 and n >= 2:
-        firsts = [v for v in range(-n, n + 1) if v != 0]
-        blocks = _pool_map(_count_row, n, pattern.values, firsts, workers)
-        return tuple(map(sum, zip(*blocks)))
+        blocks = _scan_blocks([n], [pattern.values])
+        with _pool_map(_count_row, blocks, workers) as results:
+            return tuple(map(sum, zip(*results)))
     return _avoider_row(n, pattern.values)
+
+
+@contextmanager
+def scan_rows(
+    max_n: int, patterns: Sequence[Pattern], workers: int | None = None
+) -> Iterator[Callable[[], list[tuple[tuple[int, ...], ...]]]]:
+    """The whole-word scan's rows ``n = 0..max_n`` of several patterns.
+
+    Used as ``with scan_rows(max_n, patterns, workers) as collect:``;
+    ``collect()`` returns one entry per pattern, the rows
+    ``(avoider_counts(n, p) for n = 0..max_n)``.  With ``workers > 1`` the
+    blocks of every (pattern, size ``n >= 2``, first image), largest sizes
+    first, go on entry to one process pool of at most
+    ``min(workers, blocks, usable_cpus())`` processes, so the caller's work
+    inside the ``with`` block runs while the pool scans; ``collect`` waits
+    for the blocks and sums them per size.  Otherwise no pool starts and
+    ``collect`` scans serially.  Raises ``ValueError`` for ``max_n < 0``.
+
+    >>> with scan_rows(3, [Pattern.parse("2143")]) as collect:
+    ...     collect()
+    [((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))]
+    """
+    if max_n < 0:
+        raise ValueError("size must be nonnegative")
+    pooled = workers is not None and workers > 1
+    values = list(dict.fromkeys(p.values for p in patterns))
+    blocks = _scan_blocks(range(max_n, 1, -1), values) if pooled else []
+    with _pool_map(_count_row, blocks, workers) as results:
+
+        def collect() -> list[tuple[tuple[int, ...], ...]]:
+            sums: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+            for (n, v, _), counts in zip(blocks, results):
+                so_far = sums.get((n, v), (0,) * (n + 1))
+                sums[n, v] = tuple(map(sum, zip(so_far, counts)))
+            return [
+                tuple(
+                    sums.get((n, p.values)) or _avoider_row(n, p.values)
+                    for n in range(max_n + 1)
+                )
+                for p in patterns
+            ]
+
+        yield collect
 
 
 def _avoiding_children(
@@ -250,7 +314,9 @@ def avoider_rows(
         for _, j in seeds:
             rows[n][j] += 1
     if pooled:
-        blocks = _pool_map(_subtree_rows, max_n, pattern.values, seeds, workers)
+        args = [(max_n, pattern.values, seed) for seed in seeds]
+        with _pool_map(_subtree_rows, args, workers) as results:
+            blocks = list(results)
     else:
         blocks = [_subtree_rows(max_n, pattern.values, seeds[0])]
     for block in blocks:

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 import pytest
@@ -284,17 +286,51 @@ class TestVerify:
 
         scans = []
         true_counts = sigperm.oracle.avoider_counts
+        true_scan = sigperm.oracle.scan_rows
 
         def counted(n, pattern, workers=None):
             scans.append((n, str(pattern)))
             return true_counts(n, pattern, workers=workers)
 
+        def counted_rows(max_n, patterns, workers=None):
+            scans.extend((n, str(p)) for p in patterns for n in range(max_n + 1))
+            return true_scan(max_n, patterns, workers)
+
         monkeypatch.setattr(sigperm.oracle, "type_d_avoiders", refuse)
         monkeypatch.setattr(sigperm.oracle, "avoider_counts", counted)
-        code, doc = run_json(capsys, "verify", "--max-n", "4", "--threads", "1")
-        assert code == 0
-        assert {c["status"] for c in doc["rows"]} == {"pass"}
-        assert sorted(scans) == [(n, p) for n in range(5) for p in ("1234", "2143")]
+        monkeypatch.setattr(sigperm.oracle, "scan_rows", counted_rows)
+        for threads in ("1", "2"):
+            scans.clear()
+            code, doc = run_json(capsys, "verify", "--max-n", "4", "--threads", threads)
+            assert code == 0
+            assert {c["status"] for c in doc["rows"]} == {"pass"}
+            assert sorted(scans) == [(n, p) for n in range(5) for p in ("1234", "2143")]
+
+    def test_crash_beside_the_pool_leaves_no_worker(self, capsys, monkeypatch):
+        # the exact routes run while the pool scans; a crash there must
+        # still exit 2 in one line and join every worker
+        pools = []
+
+        class TrackedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def crash(*args):
+            raise RuntimeError("series route failed")
+
+        monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", TrackedPool)
+        monkeypatch.setattr(sigperm.gf, "avoider_count_from_series", crash)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "5", "--threads", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "sigperm verify: error: RuntimeError: series route failed"
+        ]
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
 
     def test_type_d_slice_names_each_route(self, capsys, monkeypatch):
         true_series = sigperm.gf.avoider_count_from_series
@@ -383,6 +419,20 @@ class TestConjecture:
         assert unequal
         assert unequal[0]["n"] == 2 and unequal[0]["j"] == 2
         assert (unequal[0]["count1"], unequal[0]["count2"]) == ("1", "2")
+
+    # sum of 2^n n! over n <= 7 is 695 483 pinned checks per walk; 1243 and
+    # 2134 are not their own reverse complements, so each counts twice
+    @pytest.mark.parametrize(
+        "p1, p2, checks", [("1243", "2134", 2781932), ("12345", "21354", 1390966)]
+    )
+    def test_guard_reports_the_walks_bound(self, capsys, p1, p2, checks):
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--p1", p1, "--p2", p2, "--max-n", "7"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sigperm conjecture: error: --max-n 7 exceeds the cost guard 6: "
+            f"about {checks} containment checks; pass --allow-long to run anyway"
+        ]
 
     def test_allow_long_overrides_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.cli, "BRUTE_GUARD", 2)

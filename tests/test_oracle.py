@@ -8,6 +8,7 @@ from math import comb, factorial
 
 import pytest
 
+import sigperm.cli
 import sigperm.oracle
 from sigperm.core import Pattern
 from sigperm.oracle import (
@@ -18,6 +19,7 @@ from sigperm.oracle import (
     classical_1234_formula,
     classical_avoiders,
     egge_formula,
+    scan_rows,
     type_d_avoiders,
 )
 
@@ -149,6 +151,36 @@ class TestTypeD:
         assert type_d_avoiders(0, P1234) == 1
 
 
+class RecordingPool:
+    """A stand-in executor: records its size and the argument tuples of its
+    blocks, and runs the blocks inline."""
+
+    pools: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.blocks = []
+        self.pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        self.blocks.extend(zip(*iterables))
+        return itertools.starmap(fn, self.blocks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The pools started while the test runs, as ``RecordingPool``s."""
+    monkeypatch.setattr(RecordingPool, "pools", [])
+    monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.pools
+
+
 class TestParallel:
     def test_matches_serial(self):
         serial = avoider_counts(5, P2143)
@@ -169,29 +201,12 @@ class TestParallel:
         ],
     )
     def test_pool_capped_by_blocks_and_cpus(
-        self, monkeypatch, count, workers, cpus, expected
+        self, monkeypatch, recording_pool, count, workers, cpus, expected
     ):
-        # a stand-in executor: records the pool size, runs the blocks inline
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         serial = count()
-        monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: cpus)
         assert count(workers=workers) == serial
-        assert sizes == [expected]
+        assert [pool.max_workers for pool in recording_pool] == [expected]
 
     def test_spawned_workers(self, monkeypatch):
         # spawned workers start from a fresh interpreter, so each builds its
@@ -247,3 +262,42 @@ class TestAvoiderRows:
             avoider_rows(-1, P2143)
         with pytest.raises(ValueError):
             avoider_rows(-1, P2143, workers=2)
+
+
+class TestScanRows:
+    """One pool for every whole-word scan of ``verify``."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_rows_match_avoider_counts(self, workers):
+        patterns = [Pattern.parse(p) for p in ALL_UP_TO_4]
+        with scan_rows(5, patterns, workers) as collect:
+            rows = collect()
+        assert rows == [_scan_rows(5, p) for p in patterns]
+
+    def test_verify_starts_one_pool_over_every_block(self, capsys, recording_pool):
+        assert sigperm.cli.main(["verify", "--max-n", "5", "--threads", "2"]) == 0
+        (pool,) = recording_pool
+        expected = [
+            (n, p, first)
+            for p in ((1, 2, 3, 4), (2, 1, 4, 3))
+            for n in range(2, 6)
+            for first in range(-n, n + 1)
+            if first
+        ]
+        # each (n, pattern, first image) exactly once
+        assert sorted(pool.blocks) == sorted(expected)
+        # largest sizes first
+        sizes = [n for n, _, _ in pool.blocks]
+        assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize(
+        "argv", [["--max-n", "5", "--threads", "1"], ["--max-n", "1", "--threads", "2"]]
+    )
+    def test_serial_or_tiny_verify_starts_no_pool(self, capsys, recording_pool, argv):
+        assert sigperm.cli.main(["verify", *argv]) == 0
+        assert recording_pool == []
+
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError):
+            with scan_rows(-1, [P2143], workers=2):
+                pass
