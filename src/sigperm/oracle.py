@@ -6,12 +6,16 @@ All counts are exact Python integers.
 
 Two brute routes count avoiders.  :func:`avoider_counts` scans every word of
 ``B_n`` whole with the containment kernel, and :func:`scan_rows` gives that
-scan's rows for every size up to ``N`` and several patterns, from one process
-pool that works while the caller does.  :func:`avoider_rows` grows the
-avoiders depth-first and checks each new word only through its new entries
-with the pinned kernel, ``core.find_occurrence_through``; ``gentree`` grows
-its trees with that same kernel, so ``verify`` keeps the whole-word scan as
-its independent check of the tree route.
+scan's rows for every size up to ``N`` and several patterns at once.
+:func:`avoider_rows` grows the avoiders depth-first and checks each new word
+only through its new entries with the pinned kernel,
+``core.find_occurrence_through``; ``gentree`` grows its trees with that same
+kernel, so ``verify`` keeps the whole-word scan as its independent check of
+the tree route.
+
+Each route cuts its work into blocks, and ``_run_blocks`` alone decides
+where they run: in one process pool when ``workers > 1`` and there are two
+blocks or more, else in this process.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = [
 ]
 
 
-# concurrent.futures.ProcessPoolExecutor, bound by the first pooled count: the
+# concurrent.futures.ProcessPoolExecutor, bound by the first pool started: the
 # pool machinery (multiprocessing, logging, socket) costs start-up time that no
 # serial command needs.  Tests and perfbench's tracer may bind a stand-in first.
 ProcessPoolExecutor = None
@@ -98,21 +102,17 @@ def classical_1234_formula(n: int) -> int:
     return q
 
 
-def _count_row(n: int, pattern_values: tuple[int, ...], first: int | None) -> list[int]:
-    """Avoider counts by positive-entry statistic over one enumeration block.
+def _count_row(n: int, pattern_values: tuple[int, ...], first: int) -> list[int]:
+    """Avoider counts by positive-entry statistic over one enumeration block,
+    the words of size ``n`` whose negative half starts with the image ``first``.
 
-    With ``first`` set, only negative halves starting with that image are
-    scanned (the parallel partition); with ``first=None`` the whole group is.
-    Each word is built flat: an ordering of the absolute values, mirrored
-    into the full image sequence, times one of the precomputed sign
+    Each word is built flat: an ordering of the other absolute values,
+    mirrored into the full image sequence, times one of the precomputed sign
     vectors, whose statistic j is precomputed with it.
     """
     pattern = Pattern(pattern_values)
-    if first is None:
-        head, head_signs, rest = (), (), range(1, n + 1)
-    else:
-        head, head_signs = (abs(first),), (1 if first > 0 else -1,)
-        rest = [a for a in range(1, n + 1) if a != abs(first)]
+    head, head_signs = (abs(first),), (1 if first > 0 else -1,)
+    rest = [a for a in range(1, n + 1) if a != abs(first)]
     sign_vectors = []
     for tail in itertools.product((1, -1), repeat=len(rest)):
         signs = head_signs + tail
@@ -126,32 +126,6 @@ def _count_row(n: int, pattern_values: tuple[int, ...], first: int | None) -> li
             if find_occurrence_positions(tuple(map(mul, images, mirrored)), pattern) is None:
                 counts[j] += 1
     return counts
-
-
-@lru_cache(maxsize=None)
-def _avoider_row(n: int, pattern_values: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(_count_row(n, pattern_values, None))
-
-
-@contextmanager
-def _pool_map(fn, blocks: list[tuple], workers: int) -> Iterator[Iterator]:
-    """Within the ``with`` block, the results ``fn(*block)`` of ``blocks`` in
-    order, computed in a process pool of at most
-    ``min(workers, len(blocks), usable_cpus())`` processes.
-
-    Every block is submitted on entry, so the caller may work inside the
-    block while the pool does; leaving the block, also by an exception,
-    waits for every worker.  No pool starts for no blocks.
-    """
-    if not blocks:
-        yield iter(())
-        return
-    global ProcessPoolExecutor
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
-    pool_size = min(workers, len(blocks), usable_cpus())
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        yield pool.map(fn, *zip(*blocks))
 
 
 def _scan_blocks(
@@ -168,6 +142,40 @@ def _scan_blocks(
     ]
 
 
+@lru_cache(maxsize=None)
+def _avoider_row(n: int, pattern_values: tuple[int, ...]) -> tuple[int, ...]:
+    blocks = itertools.starmap(_count_row, _scan_blocks([n], [pattern_values]))
+    return tuple(map(sum, zip(*blocks))) if n else (1,)
+
+
+@contextmanager
+def _run_blocks(fn, blocks: list[tuple], workers: int | None) -> Iterator[Iterator]:
+    """Within the ``with`` block, the results ``fn(*block)`` of ``blocks`` in
+    order.  This is the only place a process pool starts.
+
+    With ``workers > 1`` and at least two blocks, every block is submitted on
+    entry to a pool of ``min(workers, len(blocks), usable_cpus())``
+    processes, so the caller may work inside the block while the pool does;
+    leaving the block waits for the workers, and leaving it by an exception
+    first cancels the blocks not yet started.  Otherwise the blocks run in
+    this process, each when its result is read.
+    """
+    if workers is None or workers < 2 or len(blocks) < 2:
+        yield itertools.starmap(fn, blocks)
+        return
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    pool_size = min(workers, len(blocks), usable_cpus())
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        try:
+            yield pool.map(fn, *zip(*blocks))
+        except BaseException:
+            if hasattr(pool, "shutdown"):  # stand-in pools offer only ``map``
+                pool.shutdown(cancel_futures=True)
+            raise
+
+
 def avoider_counts(
     n: int, pattern: Pattern, workers: int | None = None
 ) -> tuple[int, ...]:
@@ -175,18 +183,17 @@ def avoider_counts(
 
     Entry ``j`` is the number of signed permutations of size ``n`` avoiding
     ``pattern`` with exactly ``j`` positive indices mapped to positive images.
-    With ``workers > 1`` the ``2n`` blocks fixing the first image are counted
-    in separate processes and summed (order-independent, so the result is
-    identical to the serial scan).  The pool holds at most
-    ``min(workers, 2n, usable_cpus())`` processes.
+    The scan sums the ``2n`` blocks fixing the first image, in any order, so
+    the result is the same for every ``workers``.  With ``workers > 1`` and
+    ``n >= 2`` the blocks go to ``_run_blocks`` (uncached); otherwise the
+    row is computed once per process and cached.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if workers is not None and workers > 1 and n >= 2:
-        blocks = _scan_blocks([n], [pattern.values])
-        with _pool_map(_count_row, blocks, workers) as results:
-            return tuple(map(sum, zip(*results)))
-    return _avoider_row(n, pattern.values)
+    if workers is None or workers < 2 or n < 2:
+        return _avoider_row(n, pattern.values)
+    with _run_blocks(_count_row, _scan_blocks([n], [pattern.values]), workers) as results:
+        return tuple(map(sum, zip(*results)))
 
 
 @contextmanager
@@ -197,13 +204,11 @@ def scan_rows(
 
     Used as ``with scan_rows(max_n, patterns, workers) as collect:``;
     ``collect()`` returns one entry per pattern, the rows
-    ``(avoider_counts(n, p) for n = 0..max_n)``.  With ``workers > 1`` the
-    blocks of every (pattern, size ``n >= 2``, first image), largest sizes
-    first, go on entry to one process pool of at most
-    ``min(workers, blocks, usable_cpus())`` processes, so the caller's work
-    inside the ``with`` block runs while the pool scans; ``collect`` waits
-    for the blocks and sums them per size.  Otherwise no pool starts and
-    ``collect`` scans serially.  Raises ``ValueError`` for ``max_n < 0``.
+    ``(avoider_counts(n, p) for n = 0..max_n)``.  The blocks of every
+    (pattern, size ``n >= 2``, first image), largest sizes first, go to one
+    ``_run_blocks`` call, so with a pool the caller's work inside the
+    ``with`` block runs while the pool scans; ``collect`` reads the blocks
+    and sums them per size.  Raises ``ValueError`` for ``max_n < 0``.
 
     >>> with scan_rows(3, [Pattern.parse("2143")]) as collect:
     ...     collect()
@@ -211,10 +216,9 @@ def scan_rows(
     """
     if max_n < 0:
         raise ValueError("size must be nonnegative")
-    pooled = workers is not None and workers > 1
     values = list(dict.fromkeys(p.values for p in patterns))
-    blocks = _scan_blocks(range(max_n, 1, -1), values) if pooled else []
-    with _pool_map(_count_row, blocks, workers) as results:
+    blocks = _scan_blocks(range(max_n, 1, -1), values)
+    with _run_blocks(_count_row, blocks, workers) as results:
 
         def collect() -> list[tuple[tuple[int, ...], ...]]:
             sums: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
@@ -292,36 +296,30 @@ def avoider_rows(
     size ``n`` leaves an avoider of size ``n - 1``.  So one depth-first walk
     from the empty word reaches every avoider, each once, and checks each
     child only through its new entries (``2n`` children per avoider of size
-    ``n - 1``, one or two pinned checks each).  With ``workers > 1`` the
-    walk runs serially down to the seed size ``max_n // 2``, and the
-    subtree below each avoider of that size is one block of a process pool
-    of at most ``min(workers, blocks, usable_cpus())`` processes; the
-    blocks' rows are summed, so the result equals the serial walk's.
-    Raises ``ValueError`` for ``max_n < 0``.
+    ``n - 1``, one or two pinned checks each).  The walk runs breadth-first
+    down to the seed size ``max_n // 2``, and the subtree below each avoider
+    of that size is one ``_run_blocks`` block; the blocks' rows are summed,
+    so the result does not depend on ``workers``.  Raises ``ValueError`` for
+    ``max_n < 0``.
 
     >>> avoider_rows(3, Pattern.parse("2143"))
     ((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))
     """
     if max_n < 0:
         raise ValueError("size must be nonnegative")
-    pooled = workers is not None and workers > 1 and max_n >= 2
     mirror = pattern.reverse_complement() != pattern
     rows = [[0] * (n + 1) for n in range(max_n + 1)]
     rows[0][0] = 1
     seeds = [((), 0)]
-    for n in range(1, max_n // 2 + 1 if pooled else 1):
+    for n in range(1, max_n // 2 + 1):
         seeds = [c for seed in seeds for c in _avoiding_children(*seed, pattern, mirror)]
         for _, j in seeds:
             rows[n][j] += 1
-    if pooled:
-        args = [(max_n, pattern.values, seed) for seed in seeds]
-        with _pool_map(_subtree_rows, args, workers) as results:
-            blocks = list(results)
-    else:
-        blocks = [_subtree_rows(max_n, pattern.values, seeds[0])]
-    for block in blocks:
-        for row, block_row in zip(rows, block):
-            row[:] = map(sum, zip(row, block_row))
+    blocks = [(max_n, pattern.values, seed) for seed in seeds]
+    with _run_blocks(_subtree_rows, blocks, workers) as results:
+        for block in results:
+            for row, block_row in zip(rows, block):
+                row[:] = map(sum, zip(row, block_row))
     return tuple(map(tuple, rows))
 
 

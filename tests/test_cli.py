@@ -308,13 +308,18 @@ class TestVerify:
 
     def test_crash_beside_the_pool_leaves_no_worker(self, capsys, monkeypatch):
         # the exact routes run while the pool scans; a crash there must
-        # still exit 2 in one line and join every worker
-        pools = []
+        # still exit 2 in one line, cancel the blocks no worker has started
+        # and join every worker
+        pools, futures = [], []
 
         class TrackedPool(ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
+
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
 
         def crash(*args):
             raise RuntimeError("series route failed")
@@ -322,7 +327,7 @@ class TestVerify:
         monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", TrackedPool)
         monkeypatch.setattr(sigperm.gf, "avoider_count_from_series", crash)
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--max-n", "5", "--threads", "2"])
+            main(["verify", "--max-n", "6", "--threads", "2"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -330,6 +335,7 @@ class TestVerify:
             "sigperm verify: error: RuntimeError: series route failed"
         ]
         assert len(pools) == 1
+        assert any(future.cancelled() for future in futures)
         assert multiprocessing.active_children() == []
 
     def test_type_d_slice_names_each_route(self, capsys, monkeypatch):

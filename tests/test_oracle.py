@@ -12,6 +12,7 @@ import sigperm.cli
 import sigperm.oracle
 from sigperm.core import Pattern
 from sigperm.oracle import (
+    _avoider_row,
     _count_row,
     avoider_counts,
     avoider_rows,
@@ -33,6 +34,10 @@ def scan_3(**kwargs):
 
 def walk_6(**kwargs):
     return avoider_rows(6, P2143, **kwargs)
+
+
+def walk_2_of_12(**kwargs):
+    return avoider_rows(2, Pattern.parse("12"), **kwargs)
 
 
 class TestExactArithmetic:
@@ -119,9 +124,9 @@ class TestFlatEnumeration:
 
     @pytest.mark.parametrize("n", range(5))
     def test_whole_row(self, n):
-        assert _count_row(n, self.LONG, None) == [
+        assert _avoider_row(n, self.LONG) == tuple(
             comb(n, j) * factorial(n) for j in range(n + 1)
-        ]
+        )
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_blocks_sum_to_the_row(self, n):
@@ -133,7 +138,7 @@ class TestFlatEnumeration:
                 for j in range(n + 1)
             ], first
             blocks.append(block)
-        assert [sum(col) for col in zip(*blocks)] == _count_row(n, self.LONG, None)
+        assert tuple(sum(col) for col in zip(*blocks)) == _avoider_row(n, self.LONG)
 
 
 class TestTypeD:
@@ -186,18 +191,24 @@ class TestParallel:
         serial = avoider_counts(5, P2143)
         parallel = avoider_counts(5, P2143, workers=2)
         assert serial == parallel
+        assert avoider_counts(5, P2143, workers=1) == parallel
+        assert avoider_rows(6, P2143, workers=1) == avoider_rows(6, P2143, workers=2)
 
     # the scan of size 3 splits into 2n = 6 blocks; the walk to size 6 into
-    # the 33 avoiders of 2143 at its seed size 6 // 2 = 3
+    # the 33 avoiders of 2143 at its seed size 6 // 2 = 3, and the walk of 12
+    # to size 2 into its one avoider of size 1, which runs without a pool
     @pytest.mark.parametrize(
         "count, workers, cpus, expected",
         [
-            pytest.param(scan_3, 1000, 64, 6, id="1000-64-6"),
-            pytest.param(scan_3, 1000, 3, 3, id="1000-3-3"),
-            pytest.param(scan_3, 2, 64, 2, id="2-64-2"),
-            pytest.param(walk_6, 1000, 64, 33, id="walk-1000-64-33"),
-            pytest.param(walk_6, 1000, 3, 3, id="walk-1000-3-3"),
-            pytest.param(walk_6, 2, 64, 2, id="walk-2-64-2"),
+            pytest.param(scan_3, 1000, 64, [6], id="1000-64-6"),
+            pytest.param(scan_3, 1000, 3, [3], id="1000-3-3"),
+            pytest.param(scan_3, 2, 64, [2], id="2-64-2"),
+            pytest.param(scan_3, 1, 64, [], id="1-64-none"),
+            pytest.param(walk_6, 1000, 64, [33], id="walk-1000-64-33"),
+            pytest.param(walk_6, 1000, 3, [3], id="walk-1000-3-3"),
+            pytest.param(walk_6, 2, 64, [2], id="walk-2-64-2"),
+            pytest.param(walk_6, 1, 64, [], id="walk-1-64-none"),
+            pytest.param(walk_2_of_12, 2, 64, [], id="walk-one-block-none"),
         ],
     )
     def test_pool_capped_by_blocks_and_cpus(
@@ -206,7 +217,7 @@ class TestParallel:
         serial = count()
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: cpus)
         assert count(workers=workers) == serial
-        assert [pool.max_workers for pool in recording_pool] == [expected]
+        assert [pool.max_workers for pool in recording_pool] == expected
 
     def test_spawned_workers(self, monkeypatch):
         # spawned workers start from a fresh interpreter, so each builds its
@@ -301,3 +312,11 @@ class TestScanRows:
         with pytest.raises(ValueError):
             with scan_rows(-1, [P2143], workers=2):
                 pass
+
+    def test_caller_failure_beside_a_stand_in_pool_keeps_its_error(self, recording_pool):
+        # perfbench's in-process pool, like this stand-in, has only ``map``:
+        # the caller's error must come out, not a missing ``shutdown``
+        with pytest.raises(RuntimeError, match="caller failed"):
+            with scan_rows(3, [P2143], workers=2):
+                raise RuntimeError("caller failed")
+        assert len(recording_pool) == 1
