@@ -5,15 +5,68 @@ subgroup) avoiding a classical pattern, three independent ways: exhaustive
 search, a generating-tree label dynamic program, and coefficient extraction
 from lattice-path generating functions.  All three agree; making that
 checkable is the point of the package.
+
+``import sigperm`` loads no submodule.  Each re-exported name, and each
+submodule, is resolved on first use through a module ``__getattr__``
+(PEP 562), so a command compiles only the modules it runs.
 """
 
 __version__ = "0.1.0"
 
-# each module's __all__ is its public API; the package re-exports all four
-from . import core, gentree, gf, oracle
-from .core import *
-from .gentree import *
-from .gf import *
-from .oracle import *
+# each module's __all__ is its public API; the package re-exports all four,
+# and this table, which tests/test_exports.py pins to those lists, says which
+# module defines each name
+_EXPORTS = {
+    "core": ("Pattern", "SignedPermutation", "parse", "signed_permutations"),
+    "gentree": (
+        "TreeLabel",
+        "PermTreeNode",
+        "TREE_PATTERNS",
+        "tree_root",
+        "children",
+        "stats",
+        "active_sites",
+        "successors",
+        "build_tree",
+        "level_counts",
+        "tree_rows",
+    ),
+    "gf": (
+        "validate_signature",
+        "signatures",
+        "SeriesCache",
+        "f_series",
+        "avoider_count_from_series",
+        "is_recorded",
+        "signature_of",
+        "path_profile",
+    ),
+    "oracle": (
+        "catalan",
+        "egge_formula",
+        "classical_1234_formula",
+        "avoider_counts",
+        "scan_rows",
+        "avoider_rows",
+        "type_d_avoiders",
+        "classical_avoiders",
+        "usable_cpus",
+    ),
+}
 
-__all__ = ["__version__", *core.__all__, *gentree.__all__, *gf.__all__, *oracle.__all__]
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
+
+
+def __getattr__(name: str):
+    if name in (*_EXPORTS, "checks", "cli"):
+        from importlib import import_module
+
+        return import_module(f"{__name__}.{name}")
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(__getattr__(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

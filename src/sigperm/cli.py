@@ -12,23 +12,26 @@ Counts serialize as decimal strings so consumers with 64-bit integers cannot
 overflow.  Exit codes: 0 all good, 1 a verification inequality was found,
 2 a usage, output or resource error; :func:`main` turns every failure
 after parsing into one stderr line and exit 2.
+
+Each command imports the route modules it runs, and ``verify`` its checks
+(:mod:`sigperm.checks`), when it runs: ``--version`` and ``--help`` load
+no other ``sigperm`` module, and ``count --method formula`` never compiles
+the tree or series route.  This module only parses and renders.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import re
-import shlex
 import sys
 import time
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from . import __version__, gentree, gf, oracle
-from .core import Pattern
+from . import __version__
+
+if TYPE_CHECKING:
+    from .gentree import PermTreeNode
 
 __all__ = ["main", "build_parser"]
 
@@ -37,6 +40,8 @@ BRUTE_GUARD = 6  # largest size a brute-force scan runs without --allow-long
 
 def dumps_payload(doc: dict[str, Any]) -> str:
     """Canonical JSON encoding; parsing and re-encoding is byte-identical."""
+    import json
+
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -54,6 +59,9 @@ def _emit(
     ``table`` gives the table lines directly.  With neither, the payload is
     JSON in every format.
     """
+    import json
+    import shlex
+
     manifest = {
         "command": shlex.join(args.argv),
         "n_min": 0,
@@ -77,6 +85,9 @@ def _emit(
             for row in body["rows"]
         ]
         if args.format == "csv":
+            import csv
+            import io
+
             out = io.StringIO()
             csv.writer(out, lineterminator="\n").writerows([columns, *cells])
             text = f"{note}\n{out.getvalue()}"
@@ -121,15 +132,23 @@ def _guard_cost(
         )
 
 
-def _resolve_workers(args: argparse.Namespace) -> int:
+def _resolve_workers(args: argparse.Namespace, scans: bool = True) -> int:
+    """The worker count: ``--threads``, checked, else every usable CPU.  A
+    command that starts no process (``scans`` false) runs with 1."""
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if not scans:
+        return 1
     if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
+    from . import oracle
+
     return oracle.usable_cpus()
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .core import Pattern
+
     pattern = Pattern.parse(args.pattern)
     method = args.method
     if args.n < 0:
@@ -144,13 +163,19 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
     if args.j is not None and not 0 <= args.j <= args.n:
         raise ValueError(f"--j {args.j} outside 0..{args.n}")
-    workers = _resolve_workers(args)
-    if method != "brute":
-        workers = 1  # only the exhaustive scan starts processes
-    else:
+    # only the exhaustive scan starts processes
+    workers = _resolve_workers(args, scans=method == "brute")
+    if method == "brute":
         # a pooled scan is not cached, so a pooled row scans once per j
         pooled_row = workers > 1 and args.j is None
         _guard_cost(args, "--n", [args.n], args.n + 1 if pooled_row else 1)
+    # load the one route this method runs
+    if method == "gf":
+        from . import gf
+    elif method == "tree":
+        from . import gentree
+    else:
+        from . import oracle
     started = time.perf_counter()
     if method == "formula":
         cells = [(None, oracle.egge_formula(args.n))]
@@ -183,98 +208,16 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_row(name: str, scope: str, failures: Iterator[str]) -> dict[str, str]:
-    """A verify row: the first failure detail, or the check's scope."""
-    detail = next(failures, None)
-    if detail is None:
-        return {"name": name, "status": "pass", "detail": scope}
-    return {"name": name, "status": "fail", "detail": detail}
-
-
-def _verify_checks(max_n: int, workers: int) -> list[dict[str, str]]:
-    """Run every cross-method identity; one result dict per named check.
-
-    Every route's rows are computed once, before any check reads them; each
-    check is a generator of failure details, consumed only up to its first
-    failure.  The brute scan runs in one process pool while this process
-    computes the tree and series rows and the series-grid check.
-    """
-    p1234, p2143 = patterns = gentree.TREE_PATTERNS
-    sizes = range(max_n + 1)
-    routes = ("brute", "tree", "gf")
-
-    def series_grid() -> Iterator[str]:
-        cache_a, cache_b = gf.SeriesCache(10), gf.SeriesCache(10)
-        for g1 in range(1, 6):
-            for gamma in gf.signatures(g1, 4):
-                for k in range(6):
-                    for q in range(1, 6):
-                        if cache_a.series(p2143, k, q, gamma) != cache_b.series(
-                            p1234, k, q, gamma
-                        ):
-                            yield f"k={k} q={q} gamma={gamma}"
-
-    with oracle.scan_rows(max_n, patterns, workers) as collect_scan:
-        exact = {
-            "tree": [gentree.tree_rows(max_n, p) for p in patterns],
-            "gf": [gf.avoider_count_from_series(max_n, p) for p in patterns],
-        }
-        grid = _check_row(
-            "series-grid", "k<=5 q<=5 gamma1<=5 len<=4 at degree 10", series_grid()
-        )
-        by_route = {"brute": collect_scan(), **exact}
-    rows = {
-        (route, str(p)): row
-        for route in routes
-        for p, row in zip(patterns, by_route[route])
-    }
-
-    def cross_method(pattern: Pattern) -> Iterator[str]:
-        for n in sizes:
-            brute, tree, series = (rows[r, str(pattern)][n] for r in routes)
-            if not brute == tree == series:
-                yield f"n={n}: brute={brute} tree={tree} gf={series}"
-
-    def refined_wilf() -> Iterator[str]:
-        for n in sizes:
-            row_a, row_b = rows["brute", "1234"][n], rows["brute", "2143"][n]
-            if row_a != row_b:
-                yield f"n={n}: 1234={row_a} 2143={row_b}"
-
-    def egge_total() -> Iterator[str]:
-        for n in sizes:
-            expected = oracle.egge_formula(n)
-            totals = {p: sum(rows["brute", p][n]) for p in ("1234", "2143")}
-            if any(t != expected for t in totals.values()):
-                yield f"n={n}: totals={totals} formula={expected}"
-
-    def type_d_slice() -> Iterator[str]:
-        # the type-D subgroup is the words with n - j even
-        for n in sizes:
-            slices = {
-                f"{r}[{p}]": sum(row[n][n % 2 :: 2]) for (r, p), row in rows.items()
-            }
-            if len(set(slices.values())) != 1:
-                yield f"n={n}: slices={slices}"
-
-    scope = f"n <= {max_n}"
-    return [
-        *(_check_row(f"cross-method[{p}]", scope, cross_method(p)) for p in patterns),
-        _check_row("refined-wilf", scope, refined_wilf()),
-        _check_row("egge-total", scope, egge_total()),
-        _check_row("type-d-slice", scope, type_d_slice()),
-        grid,
-    ]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
     # one whole scan per pattern
     _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
     workers = _resolve_workers(args)
     started = time.perf_counter()
-    checks = _verify_checks(args.max_n, workers)
+    rows = checks.run_checks(args.max_n, workers)
     manifest = {
         "patterns": ["1234", "2143"],
         "n_max": args.max_n,
@@ -282,11 +225,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "degree_bound": 10,
         "workers": workers,
     }
-    _emit(args, started, manifest, {"rows": checks}, ("name", "status", "detail"))
-    return 0 if all(c["status"] == "pass" for c in checks) else 1
+    _emit(args, started, manifest, {"rows": rows}, ("name", "status", "detail"))
+    return 0 if all(row["status"] == "pass" for row in rows) else 1
 
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
+    from . import oracle
+    from .core import Pattern
+
     p1 = Pattern.parse(args.p1)
     p2 = Pattern.parse(args.p2)
     if len(p1) != len(p2):
@@ -328,6 +274,9 @@ def _series_text(coeffs: tuple[int, ...]) -> str:
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
+    from . import gf
+    from .core import Pattern
+
     pattern = Pattern.parse(args.pattern)
     tokens = args.gamma.split(",")
     if not all(re.fullmatch(r"\s*[+-]?\d+\s*", tok) for tok in tokens):
@@ -377,7 +326,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
     return 1 if cross_check is not None and not cross_check["agrees"] else 0
 
 
-def _tree_as_dict(node: gentree.PermTreeNode) -> dict[str, Any]:
+def _tree_as_dict(node: PermTreeNode) -> dict[str, Any]:
     return {
         "perm": str(node.perm),
         "label": list(node.label),
@@ -386,6 +335,9 @@ def _tree_as_dict(node: gentree.PermTreeNode) -> dict[str, Any]:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
+    from . import gentree
+    from .core import Pattern
+
     pattern = Pattern.parse(args.pattern)
     started = time.perf_counter()
     root = gentree.build_tree(pattern, args.j, args.depth)

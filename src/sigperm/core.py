@@ -116,6 +116,22 @@ class Pattern(_Frozen):
         return Pattern(tuple(k + 1 - v for v in reversed(self.values)))
 
 
+# the two patterns with a generating tree; the tree and series routes both
+# read their succession rule off this lookup
+PATTERN_2143 = Pattern((2, 1, 4, 3))
+PATTERN_1234 = Pattern((1, 2, 3, 4))
+TREE_PATTERNS = (PATTERN_1234, PATTERN_2143)
+
+
+def _require_tree_pattern(pattern: Pattern) -> bool:
+    """Return True for 2143, False for 1234, reject anything else."""
+    if pattern == PATTERN_2143:
+        return True
+    if pattern == PATTERN_1234:
+        return False
+    raise ValueError(f"no generating tree for pattern {pattern}")
+
+
 def _containment_plan(
     pattern: Pattern, order: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:

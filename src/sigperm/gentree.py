@@ -37,10 +37,16 @@ from itertools import accumulate
 from operator import add
 from typing import Iterator, NamedTuple
 
+# the tree patterns live in core, which the series route shares without
+# loading this module; they are re-exported here
 from .core import (
+    PATTERN_1234,
+    PATTERN_2143,
+    TREE_PATTERNS,
     Pattern,
     SignedPermutation,
     _insert_word,
+    _require_tree_pattern,
     find_occurrence_positions,
     find_occurrence_through,
 )
@@ -66,24 +72,11 @@ class TreeLabel(NamedTuple):
     z: int
 
 
-PATTERN_2143 = Pattern((2, 1, 4, 3))
-PATTERN_1234 = Pattern((1, 2, 3, 4))
-TREE_PATTERNS = (PATTERN_1234, PATTERN_2143)
-
 # The explicit tree is for desk-scale inspection only; the label dynamic
 # program (level_counts) has no cap.  `sigperm tree` took 15 s on the 102 230
 # nodes at j = 3, depth 5: 29.5 MB of JSON, 227 MB peak (2 vCPUs, Python 3.11).
 MAX_TREE_NODES = 150_000
 MAX_TREE_J = 4
-
-
-def _require_tree_pattern(pattern: Pattern) -> bool:
-    """Return True for 2143, False for 1234, reject anything else."""
-    if pattern == PATTERN_2143:
-        return True
-    if pattern == PATTERN_1234:
-        return False
-    raise ValueError(f"no generating tree for pattern {pattern}")
 
 
 def tree_root(pattern: Pattern, j: int) -> SignedPermutation:

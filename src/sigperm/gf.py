@@ -43,12 +43,14 @@ from __future__ import annotations
 import itertools
 from math import comb
 from operator import add, sub
-from typing import Counter as CounterT, Iterable
+from typing import TYPE_CHECKING, Counter as CounterT, Iterable
 
 from collections import Counter
 
-from .core import Pattern
-from .gentree import TreeLabel, _require_tree_pattern, successors
+from .core import Pattern, _require_tree_pattern
+
+if TYPE_CHECKING:
+    from .gentree import TreeLabel
 
 __all__ = [
     "validate_signature",
@@ -255,7 +257,9 @@ def avoider_count_from_series(max_n: int, pattern: Pattern) -> tuple[tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# explicit paths: the desk-scale oracle for the series recursion
+# explicit paths: the desk-scale oracle for the series recursion.  These
+# functions walk gentree's succession rules and import gentree when called, so
+# the series counts above never load it.
 
 
 def _records(start: TreeLabel, end: TreeLabel, rule_2143: bool) -> bool:
@@ -274,8 +278,10 @@ def is_recorded(start: tuple[int, int, int], end: tuple[int, int, int], pattern:
     ``x + 1``).  For 1234 a step is recorded exactly when it bumps the
     active-site count.
     """
-    start, end = TreeLabel(*start), TreeLabel(*end)
-    if end not in successors(start, pattern):
+    from . import gentree
+
+    start, end = gentree.TreeLabel(*start), gentree.TreeLabel(*end)
+    if end not in gentree.successors(start, pattern):
         raise ValueError(f"{start} -> {end} is not a legal {pattern} step")
     return _records(start, end, _require_tree_pattern(pattern))
 
@@ -285,7 +291,9 @@ def signature_of(points: Iterable[tuple[int, int, int]], pattern: Pattern) -> tu
 
     Raises ``ValueError`` for an empty path or an illegal step.
     """
-    pts = [TreeLabel(*p) for p in points]
+    from . import gentree
+
+    pts = [gentree.TreeLabel(*p) for p in points]
     if not pts:
         raise ValueError("a path has at least one point")
     return (pts[0].x,) + tuple(
@@ -306,7 +314,9 @@ def path_profile(
     walk counts prefixes of each length by (last point, signature so far),
     as prefixes sharing both extend alike; desk scale only.
     """
-    first = TreeLabel(*start)
+    from . import gentree
+
+    first = gentree.TreeLabel(*start)
     if not (1 <= first.x <= first.y and first.z >= 1):
         raise ValueError(f"invalid start {first}")
     rule_2143 = _require_tree_pattern(pattern)
@@ -318,7 +328,7 @@ def path_profile(
             profile[(sig, points - len(sig))] += count
             if points == max_points:
                 continue
-            for child in successors(here, pattern):
+            for child in gentree.successors(here, pattern):
                 if _records(here, child, rule_2143):
                     grown[(child, sig + (child.x,))] += count
                 else:

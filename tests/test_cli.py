@@ -213,6 +213,24 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("method", ["gf", "tree", "formula"])
+    def test_threads_checked_without_counting_cpus(self, capsys, monkeypatch, method):
+        # a method that starts no process still checks --threads, but never
+        # asks how many CPUs there are
+        def refuse():
+            raise AssertionError("resolved a worker count no process uses")
+
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", refuse)
+        argv = ["count", "--n", "2", "--pattern", "1234", "--method", method]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and doc["manifest"]["workers"] == 1
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sigperm count: error: --threads must be at least 1, got 0\n"
+
     def test_long_signature_refused_in_one_line(self, capsys):
         gamma = ",".join(["2"] * (sigperm.gf.MAX_SIGNATURE_LENGTH + 1))
         with pytest.raises(SystemExit) as exc:

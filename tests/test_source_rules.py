@@ -2,7 +2,8 @@
 
 No ``assert`` statement guards an invariant, because ``python -O`` strips
 them.  The CLI has one failure path: only ``cli.main`` catches exceptions or
-calls ``sys.exit``, besides the ``if __name__ == "__main__"`` line.
+calls ``sys.exit``, besides the ``if __name__ == "__main__"`` line, and
+verify's checks (``checks.py``) do neither.
 """
 
 import ast
@@ -57,5 +58,16 @@ def test_cli_fails_only_through_main():
         for node in ast.walk(tree)
         if (isinstance(node, ast.ExceptHandler) or _is_sys_exit(node))
         and id(node) not in inside
+    ]
+    assert offenders == []
+
+
+def test_checks_leave_failures_to_main():
+    path = Path(sigperm.__file__).parent / "checks.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) or _is_sys_exit(node)
     ]
     assert offenders == []
