@@ -10,8 +10,9 @@ tree        dump an explicit generating tree as JSON
 
 Counts serialize as decimal strings so consumers with 64-bit integers cannot
 overflow.  Exit codes: 0 all good, 1 a verification inequality was found,
-2 a usage, output or resource error; :func:`main` turns every failure
-after parsing into one stderr line and exit 2.
+2 a usage, output or resource error, 130 interrupted; :func:`main` turns
+every failure after parsing into one stderr line and exit 2, and an
+interrupt into one stderr line and exit 130.
 
 Each command imports the route modules it runs, and ``verify`` its checks
 (:mod:`sigperm.checks`), when it runs: ``--version`` and ``--help`` load
@@ -430,13 +431,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     Argparse reports a malformed command line.  Any exception a command
     raises after that (bad input, an unwritable ``--output``, running out of
     memory) becomes one stderr line and exit 2, so exit 1 always means a
-    found inequality.
+    found inequality.  An interrupt (Ctrl-C) becomes one stderr line and
+    exit 130.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     args.argv = ["sigperm"] + argv
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print(f"sigperm {args.subcommand}: error: interrupted", file=sys.stderr)
+        sys.exit(130)
     except Exception as exc:
         # a ValueError is bad input; any other exception is named by type
         parts = [] if isinstance(exc, ValueError) else [type(exc).__name__]

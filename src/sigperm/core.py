@@ -306,18 +306,6 @@ def standardize(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in values)
 
 
-def _insert_word(
-    word: tuple[int, ...], site: int, gap: int
-) -> tuple[tuple[int, ...], int]:
-    """The arithmetic of :meth:`SignedPermutation.insert` on a bare
-    negative-half word, without its range checks: the new word, and the
-    position of the new entry in it."""
-    shifted = [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in word]
-    cut = len(word) + 1 - site
-    shifted.insert(cut, gap)
-    return tuple(shifted), cut
-
-
 class SignedPermutation(_Frozen):
     """An element of the hyperoctahedral group, stored by its negative half.
 
@@ -405,7 +393,9 @@ class SignedPermutation(_Frozen):
             raise ValueError(f"site {site} outside 1..{n + 1}")
         if not 1 <= gap <= n + 1:
             raise ValueError(f"gap {gap} outside 1..{n + 1}")
-        return SignedPermutation(_insert_word(self.neg_images, site, gap)[0])
+        word = [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in self.neg_images]
+        word.insert(n + 1 - site, gap)
+        return SignedPermutation(word)
 
 
 def parse(text: str) -> SignedPermutation:

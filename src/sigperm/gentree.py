@@ -16,7 +16,10 @@ Three statistics label each node:
 
 One pass of trial insertions per node gives both its label and its
 children; :func:`children`, :func:`stats` and :func:`build_tree` all run
-that pass, and :func:`active_sites` answers for a single gap.
+that pass, and :func:`active_sites` answers for a single gap.  A trial works
+on the node's full image sequence, shifted once per gap to make room for
+``±gap``: each site splices ``gap`` and ``-gap`` in at mirror indices, and
+the child is searched for the pattern only through ``gap``.
 
 The label of a node determines the multiset of its children's labels.
 :func:`successors` lists each succession rule child by child.  The label
@@ -45,7 +48,6 @@ from .core import (
     TREE_PATTERNS,
     Pattern,
     SignedPermutation,
-    _insert_word,
     _require_tree_pattern,
     find_occurrence_positions,
     find_occurrence_through,
@@ -95,43 +97,40 @@ def _max_inserted(w: SignedPermutation) -> int:
 
 
 def _require_avoider(w: SignedPermutation, pattern: Pattern) -> None:
-    """The precondition of :func:`_trial_avoids`, checked on the whole word."""
+    """The precondition of :func:`_accepted`, checked on the whole word."""
     if find_occurrence_positions(w.full_images(), pattern) is not None:
         raise ValueError(f"{w} contains {pattern}")
-
-
-def _trial_avoids(
-    word: tuple[int, ...], site: int, gap: int, pattern: Pattern
-) -> tuple[int, ...] | None:
-    """Insert into a bare negative-half word that avoids ``pattern`` and
-    test whether the result still avoids it.
-
-    The insertion is :meth:`SignedPermutation.insert`'s, without the
-    value-type construction; trees try (sites x gaps) candidates per node
-    and most are thrown away, so the hot loop works on raw words.  A new
-    occurrence must use the new pair ``(gap, -gap)``, and reflecting through
-    the origin maps one through ``-gap`` onto one through ``gap``, because
-    both tree patterns are their own reverse complement; so only
-    occurrences through the ``gap`` entry are searched.  Returns the new
-    word, or None when the insertion creates the pattern.
-    """
-    new_word, cut = _insert_word(word, site, gap)
-    full = new_word + tuple(-v for v in reversed(new_word))
-    if find_occurrence_through(full, pattern, cut) is None:
-        return new_word
-    return None
 
 
 def _accepted(
     w: SignedPermutation, gap: int, pattern: Pattern
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """The ``(site, new word)`` pairs of every avoiding insertion at ``gap``,
-    by increasing site; ``w`` must avoid ``pattern``."""
-    trials = (
-        (site, _trial_avoids(w.neg_images, site, gap, pattern))
-        for site in range(1, w.n + 2)
-    )
-    return [(site, word) for site, word in trials if word is not None]
+    """The ``(site, new negative half)`` pairs of every avoiding insertion
+    at ``gap``, by increasing site; ``w`` must avoid ``pattern``.
+
+    This is :meth:`SignedPermutation.insert` plus an avoidance check, on raw
+    image sequences: trees try (sites x gaps) candidates per node and most
+    are thrown away.  The entries of ``w`` with ``|v| >= gap`` move one step
+    away from zero once per gap; each site then splices ``gap`` in at
+    ``cut = n + 1 - site`` and ``-gap`` at the mirror index.  A new
+    occurrence must use ``gap`` or ``-gap``, and reflecting through the
+    origin maps one through ``-gap`` onto one through ``gap``, because both
+    tree patterns are their own reverse complement; so only occurrences
+    through ``gap`` are searched.
+    """
+    n = w.n
+    # a tuple built from a list has its exact size; tuple() of a generator
+    # resizes its result, and CPython's tuple free lists then keep thousands
+    # of those resized tuples alive, enough to raise a tree dump's peak memory
+    full = tuple([v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in w.full_images()])
+    accepted = []
+    for site in range(1, n + 2):
+        cut = n + 1 - site
+        left, middle, right = full[:cut], full[cut : 2 * n - cut], full[2 * n - cut :]
+        child = left + (gap,) + middle + (-gap,) + right
+        if find_occurrence_through(child, pattern, cut) is None:
+            accepted.append((site, child[: n + 1]))
+    return accepted
 
 
 def _label_gap(w: SignedPermutation, is_2143: bool) -> int:

@@ -3,8 +3,14 @@
 import csv
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +257,66 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["sigperm gf: error: MemoryError"]
+
+
+# runs the CLI with argv[2:] and touches the file argv[1] once the command
+# reaches the block runner, so an interrupt lands inside the walk
+MARKED_CLI = """
+import sys
+from pathlib import Path
+
+import sigperm.oracle as oracle
+from sigperm.cli import main
+
+run_blocks = oracle._run_blocks
+
+
+def marked(*args):
+    Path(sys.argv[1]).touch()
+    return run_blocks(*args)
+
+
+oracle._run_blocks = marked
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestInterrupt:
+    def test_interrupt_exits_130_in_one_line(self, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sigperm.oracle, "avoider_rows", interrupted)
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "3"])
+        assert exc.value.code == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["sigperm conjecture: error: interrupted"]
+
+    def test_sigint_to_the_pooled_walk_exits_130_in_one_line(self, tmp_path):
+        marker = tmp_path / "walking"
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "8", "--allow-long"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", MARKED_CLI, str(marker), *argv, "--threads", "2"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.3)  # let the pool start its blocks
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130, err
+        assert out == ""
+        assert err.splitlines() == ["sigperm conjecture: error: interrupted"]
 
 
 class TestVerify:

@@ -3,9 +3,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigperm.gentree
-from sigperm.core import Pattern, parse, signed_permutations
+from sigperm.core import Pattern, SignedPermutation, parse, signed_permutations
 from sigperm.gentree import (
     TreeLabel,
     active_sites,
@@ -17,13 +18,33 @@ from sigperm.gentree import (
     tree_root,
     tree_rows,
 )
-from sigperm.gentree import _next_level
+from sigperm.gentree import _accepted, _next_level
 from sigperm.gf import avoider_count_from_series
 from sigperm.oracle import avoider_counts, classical_1234_formula, egge_formula
 
 P1234 = Pattern.parse("1234")
 P2143 = Pattern.parse("2143")
 BOTH = (P1234, P2143)
+
+
+def reference_accepted(w, gap, pattern):
+    """The trials of ``gentree._accepted`` through the public insertion and
+    the whole-word avoidance check."""
+    kids = ((site, w.insert(site, gap)) for site in range(1, w.n + 2))
+    return [(site, kid.neg_images) for site, kid in kids if kid.avoids(pattern)]
+
+
+@st.composite
+def grown_avoiders(draw, pattern, min_n, max_n):
+    """An avoider of size ``min_n..max_n``, grown one insertion at a time
+    from the empty word, keeping a child only if the whole word avoids."""
+    size = draw(st.integers(min_n, max_n))
+    w = SignedPermutation(())
+    while w.n < size:
+        sites = range(1, w.n + 2)
+        kids = [w.insert(site, gap) for site in sites for gap in sites]
+        w = draw(st.sampled_from([kid for kid in kids if kid.avoids(pattern)]))
+    return w
 
 
 def tree_levels(root):
@@ -169,23 +190,23 @@ class TestChildren:
         assert children(parse("[]"), P2143) == [parse("[1]")]
 
     def test_trial_word_path_matches_public_insert(self):
-        # the raw-word fast path used inside children/active_sites must be
-        # the same map as SignedPermutation.insert plus an avoidance check,
-        # on its precondition: the word avoids the pattern
-        from sigperm.gentree import _trial_avoids
-
+        # the raw-sequence trial loop used inside children/active_sites must
+        # be the same map as SignedPermutation.insert plus an avoidance
+        # check, on its precondition: the word avoids the pattern
         for w in signed_permutations(4):
             for pattern in BOTH:
                 if w.contains(pattern):
                     continue
-                for site in range(1, w.n + 2):
-                    for gap in range(1, w.n + 2):
-                        child = w.insert(site, gap)
-                        got = _trial_avoids(w.neg_images, site, gap, pattern)
-                        if child.avoids(pattern):
-                            assert got == child.neg_images
-                        else:
-                            assert got is None
+                for gap in range(1, w.n + 2):
+                    assert _accepted(w, gap, pattern) == reference_accepted(w, gap, pattern)
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_trial_loop_matches_public_insert_past_four(self, pattern, data):
+        w = data.draw(grown_avoiders(pattern, 5, 8))
+        for gap in range(1, w.n + 2):
+            assert _accepted(w, gap, pattern) == reference_accepted(w, gap, pattern)
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_root_of_statistic_two_has_nine_children(self, pattern):
