@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from . import gentree, gf, oracle
+from . import gf, labeltable, oracle
 from .core import TREE_PATTERNS, Pattern
 
 __all__ = ["run_checks"]
@@ -47,7 +47,7 @@ def run_checks(max_n: int, workers: int) -> list[dict[str, str]]:
 
     with oracle.scan_rows(max_n, patterns, workers) as collect_scan:
         exact = {
-            "tree": [gentree.tree_rows(max_n, p) for p in patterns],
+            "tree": [labeltable.tree_rows(max_n, p) for p in patterns],
             "gf": [gf.avoider_count_from_series(max_n, p) for p in patterns],
         }
         grid = _check_row(

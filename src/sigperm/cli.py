@@ -173,6 +173,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     # load the one route this method runs
     if method == "gf":
         from . import gf
+    elif method == "tree" and args.j is None:
+        from . import labeltable
     elif method == "tree":
         from . import gentree
     else:
@@ -184,8 +186,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         js = [args.j] if args.j is not None else range(args.n + 1)
         if method == "gf":
             row = gf.avoider_count_from_series(args.n, pattern)[args.n]
+        elif method == "tree" and args.j is None:
+            row = labeltable.tree_rows(args.n, pattern)[args.n]
         elif method == "tree":
-            row = {j: gentree.level_counts(pattern, j, args.n - j)[-1] for j in js}
+            row = {args.j: gentree.level_counts(pattern, args.j, args.n - args.j)[-1]}
         else:
             row = {j: oracle.avoider_counts(args.n, pattern, workers)[j] for j in js}
         cells = [(j, row[j]) for j in js]

@@ -27,10 +27,10 @@ dynamic program in :func:`level_counts` reproduces the tree's level sizes
 without building it: it holds the multiplicities of labels as rows over
 ``x``, one per ``(z, y)``, and sums each rule over whole rows with running
 and suffix sums, in time about linear in the number of labels per level.
-The DP from the root of statistic ``j`` gives column ``j`` of every row, so
-:func:`tree_rows` assembles the triangle of rows ``n <= N`` from one DP per
-``j``.  The two statements of each rule are checked against each other by the
-tests.
+The DP from the root of statistic ``j`` gives column ``j`` of every row.
+The whole triangle of rows ``n <= N`` comes from :mod:`sigperm.labeltable`,
+which runs the same rules backward in one table and does not load this
+module.  The tests check the statements of each rule against each other.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "successors",
     "build_tree",
     "level_counts",
-    "tree_rows",
 ]
 
 
@@ -404,10 +403,13 @@ def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
 def level_counts(pattern: Pattern, j: int, max_depth: int) -> list[int]:
     """Avoider counts ``|B_{j+d}^j|`` for ``d = 0..max_depth`` by label DP.
 
-    The state holds the multiplicity of every label, one row of x per
-    ``(z, y)``, and one step sums the rule over whole rows
-    (:func:`_next_level`).  Labels stay within ``x <= y <= j+d+2`` and
-    ``z <= j+1``, so the state stays polynomial in the depth.
+    The DP runs forward from the one root of statistic ``j``.  Its state
+    holds the multiplicity of every label, one row of x per ``(z, y)``, and
+    one step sums the rule over whole rows (:func:`_next_level`).  Labels
+    stay within ``x <= y <= j+d+2`` and ``z <= j+1``, so the state stays
+    polynomial in the depth.  It is the reference the tests check
+    :mod:`sigperm.labeltable`'s backward table against, and it reaches
+    roots far past that table's cap.
 
     >>> level_counts(PATTERN_1234, 0, 6)
     [1, 1, 2, 6, 23, 103, 513]
@@ -421,20 +423,3 @@ def level_counts(pattern: Pattern, j: int, max_depth: int) -> list[int]:
         rows = _next_level(rows, is_2143)
         counts.append(sum(map(sum, rows.values())))
     return counts
-
-
-def tree_rows(max_n: int, pattern: Pattern) -> tuple[tuple[int, ...], ...]:
-    """The rows ``(|B_n^0|, ..., |B_n^n|)`` of ``pattern`` for ``n = 0..max_n``.
-
-    The label DP from the root of statistic ``j`` gives column ``j`` of
-    every row at once, so the triangle costs one :func:`level_counts` per
-    ``j``.  Raises ``ValueError`` for ``max_n < 0`` and for a pattern with
-    no generating tree.
-
-    >>> tree_rows(3, PATTERN_2143)
-    ((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))
-    """
-    if max_n < 0:
-        raise ValueError(f"size {max_n} must be nonnegative")
-    columns = [level_counts(pattern, j, max_n - j) for j in range(max_n + 1)]
-    return tuple(tuple(columns[j][n - j] for j in range(n + 1)) for n in range(max_n + 1))

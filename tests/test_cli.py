@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import sigperm.cli
+import sigperm.core
 import sigperm.gentree
 import sigperm.gf
+import sigperm.labeltable
 import sigperm.oracle
 from sigperm.cli import dumps_payload, main
 from sigperm.gentree import TreeLabel
@@ -219,6 +221,18 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 2
 
+    def test_tree_row_past_the_table_cap_is_one_line(self, capsys):
+        n = sigperm.labeltable.MAX_TABLE_N + 1
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", str(n), "--pattern", "2143", "--method", "tree"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"sigperm count: error: tree triangle capped at size {n - 1}; "
+            "level_counts gives one statistic's column past the cap"
+        ]
+
     @pytest.mark.parametrize("method", ["gf", "tree", "formula"])
     def test_threads_checked_without_counting_cpus(self, capsys, monkeypatch, method):
         # a method that starts no process still checks --threads, but never
@@ -346,19 +360,18 @@ class TestVerify:
         assert {c["status"] for c in doc["rows"]} == {"pass"}
 
     def test_injected_fault_is_caught_and_named(self, capsys, monkeypatch):
-        # every DP step also yields the child (2, 2, 1) once, at x = 2 of the
-        # row (z, y) = (1, 2)
-        true_next_level = sigperm.gentree._next_level
+        # every table step counts one descendant too many below the label
+        # (1, 1, 1), the root of statistic 0
+        true_step = sigperm.labeltable._step
 
-        def corrupted(rows, is_2143):
-            nxt = true_next_level(rows, is_2143)
-            row = nxt.setdefault((1, 2), [0, 0, 0])
-            row[2] += 1
-            return nxt
+        def corrupted(prev, is_2143):
+            table = true_step(prev, is_2143)
+            table[0][0][0] += 1
+            return table
 
-        monkeypatch.setattr(sigperm.gentree, "_next_level", corrupted)
-        p2143 = sigperm.gentree.PATTERN_2143
-        assert sigperm.gentree.level_counts(p2143, 0, 1) == [1, 2]
+        monkeypatch.setattr(sigperm.labeltable, "_step", corrupted)
+        p2143 = sigperm.core.PATTERN_2143
+        assert sigperm.labeltable.tree_rows(1, p2143) == ((1,), (2, 1))
         code, doc = run_json(capsys, "verify", "--max-n", "3")
         assert code == 1
         failed = [c["name"] for c in doc["rows"] if c["status"] == "fail"]

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from sigperm import core, gentree, gf, oracle
+from sigperm import core, gentree, gf, labeltable, oracle
 
 
 @pytest.mark.parametrize(
-    "module", [core, oracle, gentree, gf], ids=lambda m: m.__name__
+    "module", [core, oracle, gentree, labeltable, gf], ids=lambda m: m.__name__
 )
 def test_docstring_examples(module):
     result = doctest.testmod(module)

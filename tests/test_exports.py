@@ -12,8 +12,8 @@ import pytest
 
 import sigperm
 
-MODULES = ("core", "gentree", "gf", "oracle", "cli", "checks")
-ROUTES = ("core", "gentree", "gf", "oracle")
+MODULES = ("core", "gentree", "labeltable", "gf", "oracle", "cli", "checks")
+ROUTES = ("core", "gentree", "labeltable", "gf", "oracle")
 
 
 @pytest.mark.parametrize("module", ("sigperm", *(f"sigperm.{m}" for m in MODULES)))

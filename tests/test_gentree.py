@@ -1,11 +1,19 @@
 """Tree statistics, succession rules, and the label dynamic program."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from functools import lru_cache
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigperm.gentree
+import sigperm.labeltable
 from sigperm.core import Pattern, SignedPermutation, parse, signed_permutations
 from sigperm.gentree import (
     TreeLabel,
@@ -16,15 +24,16 @@ from sigperm.gentree import (
     stats,
     successors,
     tree_root,
-    tree_rows,
 )
 from sigperm.gentree import _accepted, _next_level
+from sigperm.labeltable import MAX_TABLE_N, _tables, tree_rows
 from sigperm.gf import avoider_count_from_series
 from sigperm.oracle import avoider_counts, classical_1234_formula, egge_formula
 
 P1234 = Pattern.parse("1234")
 P2143 = Pattern.parse("2143")
 BOTH = (P1234, P2143)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def reference_accepted(w, gap, pattern):
@@ -485,8 +494,8 @@ class TestLevelCounts:
         assert level_counts(pattern, 2000, 0) == [1]
 
     def test_far_row_agrees_with_series_and_formulas(self):
-        # n = 20 is out of a test's reach when the DP lists every child label
-        n = 20
+        # n = 30 is out of a test's reach when the DP lists every child label
+        n = 30
         rows = {}
         for pattern in BOTH:
             rows[str(pattern)] = tree_rows(n, pattern)
@@ -510,16 +519,84 @@ class TestTreeRows:
         with pytest.raises(ValueError, match="no generating tree"):
             tree_rows(3, Pattern.parse("1243"))
 
-    def test_one_label_dp_per_column(self, monkeypatch):
-        # the DP from statistic j gives column j of every row; the DP is
-        # looked up as a module attribute, so a wrapper on it sees each call
-        calls = []
-        true_level_counts = sigperm.gentree.level_counts
+    def test_reads_one_table_without_gentree(self, monkeypatch):
+        # the forward DP is the table's reference, so the table must not
+        # run it, nor load the module that holds it
+        def refuse(*args):
+            raise AssertionError("tree_rows ran the forward label DP")
 
-        def level_counts_spy(pattern, j, max_depth):
-            calls.append((j, max_depth))
-            return true_level_counts(pattern, j, max_depth)
+        monkeypatch.setattr(sigperm.gentree, "level_counts", refuse)
+        monkeypatch.setattr(sigperm.gentree, "_next_level", refuse)
+        assert tree_rows(4, P1234)[4] == (23, 80, 63, 16, 1)
+        script = (
+            "import sys; from sigperm.core import PATTERN_2143;"
+            "from sigperm.labeltable import tree_rows; tree_rows(5, PATTERN_2143);"
+            "print('sigperm.gentree' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["False"]
 
-        monkeypatch.setattr(sigperm.gentree, "level_counts", level_counts_spy)
-        tree_rows(4, P1234)
-        assert calls == [(j, 4 - j) for j in range(5)]
+
+def descendants_by_rule(pattern):
+    """N_r(label) as a memoised recursion over the listed rule."""
+
+    @lru_cache(maxsize=None)
+    def count(label, r):
+        if r == 0:
+            return 1
+        return sum(count(child, r - 1) for child in successors(label, pattern))
+
+    return count
+
+
+class TestLabelTable:
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_every_cell_matches_level_counts(self, pattern):
+        max_n = 20
+        rows = tree_rows(max_n, pattern)
+        for j in range(max_n + 1):
+            column = level_counts(pattern, j, max_n - j)
+            assert [rows[n][j] for n in range(j, max_n + 1)] == column, j
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_every_label_matches_the_listed_rule(self, pattern):
+        # the table's sums against the rule child by child, not against
+        # the forward DP's own sums
+        count = descendants_by_rule(pattern)
+        max_n = 10
+        for r, table in enumerate(islice(_tables(max_n, pattern == P2143), 6)):
+            assert len(table) == max_n + 1 - r
+            assert all(len(row) == y for plane in table for y, row in enumerate(plane, 1))
+            for y in range(1, 7):
+                for z in range(1, 7):
+                    for x in range(1, y + 1):
+                        label = TreeLabel(x, y, z)
+                        assert table[z - 1][y - 1][x - 1] == count(label, r), (label, r)
+
+    def test_refuses_past_the_cap_before_allocating(self, monkeypatch):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"capped at size {MAX_TABLE_N}"):
+                tree_rows(MAX_TABLE_N + 1, P2143)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        # the cap is read at call time
+        monkeypatch.setattr(sigperm.labeltable, "MAX_TABLE_N", 5)
+        assert tree_rows(5, P1234)[5] == avoider_counts(5, P1234)
+        with pytest.raises(ValueError, match="capped at size 5"):
+            tree_rows(6, P1234)
+
+
+@pytest.mark.slow
+def test_tree_triangle_at_sixty_equals_the_series_triangle():
+    for pattern in BOTH:
+        assert tree_rows(60, pattern) == avoider_count_from_series(60, pattern)

@@ -72,6 +72,7 @@ def test_serial_conjecture_starts_no_pool_machinery():
 WATCHED = (
     "sigperm.core",
     "sigperm.gentree",
+    "sigperm.labeltable",
     "sigperm.gf",
     "sigperm.oracle",
     "sigperm.checks",
@@ -93,7 +94,9 @@ loaded = set(sys.modules) - before
 print(code, sorted(m for m in {WATCHED!r} if m in loaded))
 """
 
-CORE, GENTREE, GF, ORACLE = (f"sigperm.{m}" for m in ("core", "gentree", "gf", "oracle"))
+CORE, GENTREE, TABLE, GF, ORACLE = (
+    f"sigperm.{m}" for m in ("core", "gentree", "labeltable", "gf", "oracle")
+)
 HELP = [["--version"], ["--help"]] + [
     [command, "--help"] for command in ("count", "verify", "conjecture", "gf", "tree")
 ]
@@ -105,7 +108,9 @@ COMMANDS = [
         [CORE, ORACLE, "csv"],
     ),
     (["count", "--n", "6", "--pattern", "2143", "--method", "gf"], [CORE, GF]),
-    (["count", "--n", "6", "--pattern", "2143", "--method", "tree"], [CORE, GENTREE]),
+    # a full tree row reads the label table; one cell runs the forward DP
+    (["count", "--n", "6", "--pattern", "2143", "--method", "tree"], [CORE, TABLE]),
+    (["count", "--n", "6", "--pattern", "2143", "--method", "tree", "--j", "3"], [CORE, GENTREE]),
     (["tree", "--pattern", "2143", "--j", "1", "--depth", "2"], [CORE, GENTREE]),
     (["gf", "--pattern", "2143", "--k", "2", "--q", "1", "--gamma", "3"], [CORE, GF]),
     # the path cross-check walks gentree's succession rules
@@ -120,7 +125,7 @@ COMMANDS = [
     ),
     (
         ["verify", "--max-n", "3", "--threads", "1"],
-        [CORE, GENTREE, GF, ORACLE, "sigperm.checks"],
+        [CORE, TABLE, GF, ORACLE, "sigperm.checks"],
     ),
 ]
 
