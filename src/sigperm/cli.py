@@ -40,10 +40,58 @@ BRUTE_GUARD = 6  # largest size a brute-force scan runs without --allow-long
 
 
 def dumps_payload(doc: dict[str, Any]) -> str:
-    """Canonical JSON encoding; parsing and re-encoding is byte-identical."""
-    import json
+    """Canonical JSON encoding; parsing and re-encoding is byte-identical.
 
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` byte
+    for byte, keys must be strings, and any value json cannot encode raises
+    ``TypeError``.  Each dict and list is written as one ``join`` of its
+    members' texts: json's indenting encoder holds every token of the
+    document in one list before joining, which for a tree dump costs
+    several times the text itself.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    def text(value: Any, newline: str, end: str = "") -> str:
+        # ``value`` at the indent ``newline`` opens, followed by ``end``
+        if isinstance(value, dict):
+            if not value:
+                return "{}" + end
+            inner = newline + "  "
+            comma = "," + inner
+            parts = ["{" + inner]
+            for key, member in sorted(value.items()):
+                parts += (quote(key), ": ", text(member, inner), comma)
+            parts[-1] = newline + "}" + end
+            return "".join(parts)
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]" + end
+            inner = newline + "  "
+            comma = "," + inner
+            parts = ["[" + inner]
+            for member in value:
+                parts += (text(member, inner), comma)
+            parts[-1] = newline + "]" + end
+            return "".join(parts)
+        if isinstance(value, str):
+            return quote(value) + end
+        if value is None:
+            return "null" + end
+        if value is True or value is False:
+            return ("true" if value else "false") + end
+        if isinstance(value, int):
+            return int.__repr__(value) + end
+        if isinstance(value, float):
+            if value != value:
+                return "NaN" + end
+            if math.isinf(value):
+                return ("Infinity" if value > 0 else "-Infinity") + end
+            return float.__repr__(value) + end
+        name = type(value).__name__
+        raise TypeError(f"Object of type {name} is not JSON serializable")
+
+    # the closing brace carries the final newline, so the text is never copied
+    return text(doc, "\n", "\n")
 
 
 def _emit(
@@ -60,7 +108,6 @@ def _emit(
     ``table`` gives the table lines directly.  With neither, the payload is
     JSON in every format.
     """
-    import json
     import shlex
 
     manifest = {
@@ -74,34 +121,37 @@ def _emit(
         "wall_time_s": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
-    doc = {"manifest": manifest, **body}
-    note = "# manifest: " + json.dumps(manifest, sort_keys=True)
     if args.format == "json" or not (columns or table):
-        text = dumps_payload(doc)
-    elif table is not None:
-        text = "\n".join([*table, note]) + "\n"
+        text = dumps_payload({"manifest": manifest, **body})
     else:
-        cells = [
-            ["" if row[c] is None else str(row[c]) for c in columns]
-            for row in body["rows"]
-        ]
-        if args.format == "csv":
-            import csv
-            import io
+        import json
 
-            out = io.StringIO()
-            csv.writer(out, lineterminator="\n").writerows([columns, *cells])
-            text = f"{note}\n{out.getvalue()}"
+        # table and csv print the manifest as a note; the JSON payload holds it
+        note = "# manifest: " + json.dumps(manifest, sort_keys=True)
+        if table is not None:
+            text = "\n".join([*table, note]) + "\n"
         else:
-            widths = [
-                max([len(col)] + [len(row[i]) for row in cells])
-                for i, col in enumerate(columns)
+            cells = [
+                ["" if row[c] is None else str(row[c]) for c in columns]
+                for row in body["rows"]
             ]
-            lines = [
-                "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                for row in [list(columns), *cells]
-            ]
-            text = "\n".join([*lines, note]) + "\n"
+            if args.format == "csv":
+                import csv
+                import io
+
+                out = io.StringIO()
+                csv.writer(out, lineterminator="\n").writerows([columns, *cells])
+                text = f"{note}\n{out.getvalue()}"
+            else:
+                widths = [
+                    max([len(col)] + [len(row[i]) for row in cells])
+                    for i, col in enumerate(columns)
+                ]
+                lines = [
+                    "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                    for row in [list(columns), *cells]
+                ]
+                text = "\n".join([*lines, note]) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -353,7 +403,9 @@ def cmd_tree(args: argparse.Namespace) -> int:
         "j": args.j,
         "methods": ["tree"],
     }
-    _emit(args, started, manifest, {"tree": _tree_as_dict(root)})
+    body = {"tree": _tree_as_dict(root)}
+    del root  # free the nodes before the payload is written
+    _emit(args, started, manifest, body)
     return 0
 
 

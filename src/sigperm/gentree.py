@@ -74,8 +74,9 @@ class TreeLabel(NamedTuple):
 
 
 # The explicit tree is for desk-scale inspection only; the label dynamic
-# program (level_counts) has no cap.  `sigperm tree` took 15 s on the 102 230
-# nodes at j = 3, depth 5: 29.5 MB of JSON, 227 MB peak (2 vCPUs, Python 3.11).
+# program (level_counts) has no cap.  `sigperm tree --j 3 --depth 5 --format
+# json` grows 102 230 nodes and writes 29.5 MB of JSON: 13.5 s for 2143 and
+# 8.9 s for 1234, 161 MB and 164 MB peak RSS (2 vCPUs, Python 3.11).
 MAX_TREE_NODES = 150_000
 MAX_TREE_J = 4
 

@@ -13,6 +13,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sigperm.cli
 import sigperm.core
@@ -33,6 +34,52 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--format", "json")
     return code, json.loads(out)
+
+
+JSON_COMMANDS = [
+    ("count", "--n", "3", "--pattern", "2143"),
+    ("verify", "--max-n", "3", "--threads", "1"),
+    ("conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "3", "--threads", "1"),
+    ("gf", "--pattern", "1234", "--k", "0", "--q", "1", "--gamma", "1,2", "--degree", "3"),
+    ("tree", "--pattern", "2143", "--j", "1", "--depth", "2"),
+]
+
+# strings json must escape: quotes, backslashes, control characters,
+# non-ASCII text and astral characters (written as surrogate pairs)
+ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\U0001f600'
+TEXT = st.text(st.characters() | st.sampled_from(ESCAPED), max_size=8)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | TEXT
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda members: st.lists(members, max_size=4)
+    | st.lists(members, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, members, max_size=4),
+    max_leaves=10,
+)
+
+
+class TestPayload:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.dictionaries(TEXT, VALUES, max_size=4))
+    def test_matches_json_indented_sorted(self, doc):
+        assert dumps_payload(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_as_json_writes_them(self, value):
+        doc = {"x": [value]}
+        assert dumps_payload(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", {1: "int key"}])
+    def test_unencodable_value_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            dumps_payload({"rows": [{"cell": value}]})
 
 
 class TestCount:
@@ -82,10 +129,12 @@ class TestCount:
         assert rows["brute"] == rows["tree"] == rows["gf"]
 
     def test_json_round_trips_byte_identical(self, capsys):
-        _, out = run(
-            capsys, "count", "--n", "3", "--pattern", "2143", "--format", "json"
-        )
-        assert dumps_payload(json.loads(out)) == out
+        # every command's JSON, and json's own indented encoding of it
+        for argv in JSON_COMMANDS:
+            _, out = run(capsys, *argv, "--format", "json")
+            doc = json.loads(out)
+            assert dumps_payload(doc) == out, argv
+            assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == out, argv
 
     def test_csv(self, capsys):
         code, out = run(
