@@ -277,7 +277,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "patterns": ["1234", "2143"],
         "n_max": args.max_n,
         "methods": ["brute", "tree", "gf", "formula"],
-        "degree_bound": 10,
+        "degree_bound": checks.SERIES_GRID_DEGREE,
         "workers": workers,
     }
     _emit(args, started, manifest, {"rows": rows}, ("name", "status", "detail"))

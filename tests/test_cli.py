@@ -270,15 +270,23 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 2
 
-    def test_tree_row_past_the_table_cap_is_one_line(self, capsys):
-        n = sigperm.labeltable.MAX_TABLE_N + 1
+    @pytest.mark.parametrize(
+        "method, triangle, cap",
+        [
+            ("tree", "tree", sigperm.labeltable.MAX_TABLE_N),
+            ("gf", "series", sigperm.gf.MAX_SERIES_N),
+        ],
+        ids=["tree", "gf"],
+    )
+    def test_tree_row_past_the_table_cap_is_one_line(self, capsys, method, triangle, cap):
+        n = cap + 1
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", str(n), "--pattern", "2143", "--method", "tree"])
+            main(["count", "--n", str(n), "--pattern", "2143", "--method", method])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"sigperm count: error: tree triangle capped at size {n - 1}; "
+            f"sigperm count: error: {triangle} triangle capped at size {n - 1}; "
             "level_counts gives one statistic's column past the cap"
         ]
 

@@ -1,15 +1,18 @@
 """Signatures, lattice paths, and the path series."""
 
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import pairwise
 from math import comb
 
 import pytest
 
+import sigperm.gf
 from sigperm.core import Pattern
 from sigperm.gentree import TreeLabel, level_counts, successors
 from sigperm.gf import (
+    MAX_SERIES_N,
     MAX_SIGNATURE_LENGTH,
     SeriesCache,
     avoider_count_from_series,
@@ -246,6 +249,24 @@ class TestCountExtraction:
             avoider_count_from_series(-1, P2143)
         with pytest.raises(ValueError, match="no generating tree"):
             avoider_count_from_series(3, Pattern.parse("321"))
+
+    def test_refuses_past_the_cap_before_allocating(self, monkeypatch):
+        # the message is matched after tracing stops: compiling the pattern
+        # can resize the re module's cache, which is no allocation of ours
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as refused:
+                avoider_count_from_series(MAX_SERIES_N + 1, P2143)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        refused.match(f"capped at size {MAX_SERIES_N}")
+        # the cap is read at call time
+        monkeypatch.setattr(sigperm.gf, "MAX_SERIES_N", 5)
+        assert avoider_count_from_series(5, P1234)[5] == avoider_counts(5, P1234)
+        with pytest.raises(ValueError, match="capped at size 5"):
+            avoider_count_from_series(6, P1234)
 
 
 class TestRecordedSteps:
