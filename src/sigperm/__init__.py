@@ -27,6 +27,7 @@ _EXPORTS = {
         "stats",
         "active_sites",
         "successors",
+        "grow_tree",
         "build_tree",
         "level_counts",
     ),

@@ -27,71 +27,90 @@ import math
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Sequence
+from functools import cache
+from types import GeneratorType
+from typing import Any, Callable, Sequence
 
 from . import __version__
-
-if TYPE_CHECKING:
-    from .gentree import PermTreeNode
 
 __all__ = ["main", "build_parser"]
 
 BRUTE_GUARD = 6  # largest size a brute-force scan runs without --allow-long
+WRITE_BATCH = 6400  # encoded parts per write: about 64 KiB of a tree dump
 
 
-def dumps_payload(doc: dict[str, Any]) -> str:
-    """Canonical JSON encoding; parsing and re-encoding is byte-identical.
+def _write_payload(doc: dict[str, Any], write: Callable[[str], Any]) -> None:
+    """Write the canonical JSON text of ``doc`` through ``write``, in chunks.
 
     The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` byte
     for byte, keys must be strings, and any value json cannot encode raises
-    ``TypeError``.  Each dict and list is written as one ``join`` of its
-    members' texts: json's indenting encoder holds every token of the
-    document in one list before joining, which for a tree dump costs
-    several times the text itself.
+    ``TypeError``; a generator is written as an array, each member made as
+    it is reached.  Parts go out about every ``WRITE_BATCH`` of them, at
+    the end of an object or array, so a payload whose arrays are generators
+    is written while it is made and never held whole.
     """
     from json.encoder import encode_basestring_ascii as quote
 
-    def text(value: Any, newline: str, end: str = "") -> str:
-        # ``value`` at the indent ``newline`` opens, followed by ``end``
-        if isinstance(value, dict):
-            if not value:
-                return "{}" + end
-            inner = newline + "  "
-            comma = "," + inner
-            parts = ["{" + inner]
-            for key, member in sorted(value.items()):
-                parts += (quote(key), ": ", text(member, inner), comma)
-            parts[-1] = newline + "}" + end
-            return "".join(parts)
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]" + end
-            inner = newline + "  "
-            comma = "," + inner
-            parts = ["[" + inner]
-            for member in value:
-                parts += (text(member, inner), comma)
-            parts[-1] = newline + "]" + end
-            return "".join(parts)
-        if isinstance(value, str):
-            return quote(value) + end
-        if value is None:
-            return "null" + end
-        if value is True or value is False:
-            return ("true" if value else "false") + end
-        if isinstance(value, int):
-            return int.__repr__(value) + end
-        if isinstance(value, float):
-            if value != value:
-                return "NaN" + end
-            if math.isinf(value):
-                return ("Infinity" if value > 0 else "-Infinity") + end
-            return float.__repr__(value) + end
-        name = type(value).__name__
-        raise TypeError(f"Object of type {name} is not JSON serializable")
+    parts: list[str] = []
+    append, extend = parts.append, parts.extend
 
-    # the closing brace carries the final newline, so the text is never copied
-    return text(doc, "\n", "\n")
+    def scalar(value: Any) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if value is None or value is True or value is False:
+            return "null" if value is None else "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            text = float.__repr__(value)
+            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    @cache
+    def indent(newline: str) -> tuple[str, str]:
+        inner = newline + "  "
+        return inner, "," + inner
+
+    key_text = cache(quote)  # every node repeats the same keys
+
+    def put(value: Any, newline: str) -> None:
+        # ``value`` at the indent ``newline`` opens
+        if isinstance(value, dict):
+            inner, comma = indent(newline)
+            sep = inner
+            append("{")
+            for key, member in sorted(value.items()):
+                extend((sep, key_text(key), ": "))
+                sep = comma
+                put(member, inner)
+            extend((newline, "}") if sep is comma else ("}",))
+        elif isinstance(value, (list, tuple, GeneratorType)):
+            inner, comma = indent(newline)
+            sep = inner
+            append("[")
+            for member in value:
+                append(sep)
+                sep = comma
+                put(member, inner)
+            extend((newline, "]") if sep is comma else ("]",))
+        else:
+            append(scalar(value))
+            return
+        if len(parts) >= WRITE_BATCH:
+            write("".join(parts))
+            parts.clear()
+
+    put(doc, "\n")
+    append("\n")
+    write("".join(parts))
+
+
+def dumps_payload(doc: dict[str, Any]) -> str:
+    """The text :func:`_emit` writes for a JSON payload, as one string;
+    parsing and re-encoding it is byte-identical."""
+    chunks: list[str] = []
+    _write_payload(doc, chunks.append)
+    return "".join(chunks)
 
 
 def _emit(
@@ -106,7 +125,8 @@ def _emit(
 
     ``columns`` names the cells of ``body["rows"]`` for table and csv;
     ``table`` gives the table lines directly.  With neither, the payload is
-    JSON in every format.
+    JSON in every format.  The output is opened only once the payload's
+    text, or for JSON its encoding, can start.
     """
     import shlex
 
@@ -121,9 +141,8 @@ def _emit(
         "wall_time_s": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
-    if args.format == "json" or not (columns or table):
-        text = dumps_payload({"manifest": manifest, **body})
-    else:
+    text = None  # a JSON payload is written as it is encoded
+    if args.format != "json" and (columns or table):
         import json
 
         # table and csv print the manifest as a note; the JSON payload holds it
@@ -152,11 +171,15 @@ def _emit(
                     for row in [list(columns), *cells]
                 ]
                 text = "\n".join([*lines, note]) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+
+    from contextlib import nullcontext
+
+    target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with target as stream:
+        if text is None:
+            _write_payload({"manifest": manifest, **body}, stream.write)
+        else:
+            stream.write(text)
 
 
 def _guard_cost(
@@ -381,21 +404,20 @@ def cmd_gf(args: argparse.Namespace) -> int:
     return 1 if cross_check is not None and not cross_check["agrees"] else 0
 
 
-def _tree_as_dict(node: PermTreeNode) -> dict[str, Any]:
-    return {
-        "perm": str(node.perm),
-        "label": list(node.label),
-        "children": [_tree_as_dict(c) for c in node.children],
-    }
-
-
 def cmd_tree(args: argparse.Namespace) -> int:
     from . import gentree
     from .core import Pattern
 
     pattern = Pattern.parse(args.pattern)
     started = time.perf_counter()
-    root = gentree.build_tree(pattern, args.j, args.depth)
+    # each node's children grow when the writer reaches them, so the dump
+    # holds one path of the tree, and the wall time stops before it grows
+    tree = gentree.grow_tree(
+        pattern,
+        args.j,
+        args.depth,
+        lambda perm, label, kids: {"children": kids, "label": list(label), "perm": str(perm)},
+    )
     manifest = {
         "patterns": [str(pattern)],
         "n_min": args.j,
@@ -403,9 +425,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
         "j": args.j,
         "methods": ["tree"],
     }
-    body = {"tree": _tree_as_dict(root)}
-    del root  # free the nodes before the payload is written
-    _emit(args, started, manifest, body)
+    _emit(args, started, manifest, {"tree": tree})
     return 0
 
 

@@ -15,7 +15,7 @@ Three statistics label each node:
   image up to the top.
 
 One pass of trial insertions per node gives both its label and its
-children; :func:`children`, :func:`stats` and :func:`build_tree` all run
+children; :func:`children`, :func:`stats` and :func:`grow_tree` all run
 that pass, and :func:`active_sites` answers for a single gap.  A trial works
 on the node's full image sequence, shifted once per gap to make room for
 ``±gap``: each site splices ``gap`` and ``-gap`` in at mirror indices, and
@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import accumulate
 from operator import add
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 # the tree patterns live in core, which the series route shares without
 # loading this module; they are re-exported here
@@ -62,9 +62,12 @@ __all__ = [
     "stats",
     "active_sites",
     "successors",
+    "grow_tree",
     "build_tree",
     "level_counts",
 ]
+
+T = TypeVar("T")
 
 
 class TreeLabel(NamedTuple):
@@ -75,8 +78,9 @@ class TreeLabel(NamedTuple):
 
 # The explicit tree is for desk-scale inspection only; the label dynamic
 # program (level_counts) has no cap.  `sigperm tree --j 3 --depth 5 --format
-# json` grows 102 230 nodes and writes 29.5 MB of JSON: 13.5 s for 2143 and
-# 8.9 s for 1234, 161 MB and 164 MB peak RSS (2 vCPUs, Python 3.11).
+# json` grows 102 230 nodes and streams 29.5 MB of JSON: 8-10 s for 2143 and
+# 7-10 s for 1234, at 16.1-16.3 MB peak RSS for either (2 vCPUs, Python
+# 3.11).  The dump holds one path of the tree, so the caps bound its time.
 MAX_TREE_NODES = 150_000
 MAX_TREE_J = 4
 
@@ -371,14 +375,24 @@ class PermTreeNode:
         )
 
 
-def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
-    """The explicit tree down to ``depth``; level ``d`` holds every avoider
-    of size ``j + d`` with statistic ``j``, each exactly once.
+def grow_tree(
+    pattern: Pattern,
+    j: int,
+    depth: int,
+    node: Callable[[SignedPermutation, TreeLabel, Iterator[T]], T],
+) -> T:
+    """The explicit tree down to ``depth``, each node made by ``node(perm,
+    label, children)``; level ``d`` holds every avoider of size ``j + d``
+    with statistic ``j``, each exactly once.
 
-    Each node's label is :func:`stats` of its permutation, read off the
-    same trial insertions that grow its children.  Only the root is
-    scanned whole for the pattern: an insertion the trials accept avoids
-    it.  Capped at statistic ``MAX_TREE_J`` and ``MAX_TREE_NODES`` nodes.
+    ``children`` is an iterator that grows each child, its subtree made the
+    same way, only when it is reached, so a caller that consumes each
+    subtree as it ends holds one path of the tree at a time.  Each node's
+    label is :func:`stats` of its permutation, read off the same trial
+    insertions that grow its children.  Only the root is scanned whole for
+    the pattern: an insertion the trials accept avoids it.  Capped at
+    statistic ``MAX_TREE_J`` and ``MAX_TREE_NODES`` nodes, checked before
+    any node is made.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -393,12 +407,22 @@ def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
             f"{MAX_TREE_NODES} nodes; level_counts gives level sizes beyond the cap"
         )
 
-    def grow(w: SignedPermutation, levels: int) -> PermTreeNode:
+    def grow(w: SignedPermutation, levels: int) -> T:
         label, kids = _expand(w, pattern, is_2143, levels > 0)
-        return PermTreeNode(w, label, [grow(kid, levels - 1) for kid in kids])
+        return node(w, label, (grow(kid, levels - 1) for kid in kids))
 
     _require_avoider(root, pattern)
     return grow(root, depth)
+
+
+def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:
+    """The explicit tree down to ``depth`` (:func:`grow_tree`), every node
+    a :class:`PermTreeNode` with its children grown.
+
+    >>> [len(c.children) for c in build_tree(PATTERN_2143, 1, 2).children]
+    [6, 5, 3, 3]
+    """
+    return grow_tree(pattern, j, depth, lambda w, label, kids: PermTreeNode(w, label, list(kids)))
 
 
 def level_counts(pattern: Pattern, j: int, max_depth: int) -> list[int]:

@@ -4,10 +4,12 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from math import comb
 from pathlib import Path
@@ -80,6 +82,22 @@ class TestPayload:
     def test_unencodable_value_raises_type_error(self, value):
         with pytest.raises(TypeError):
             dumps_payload({"rows": [{"cell": value}]})
+
+    def test_generators_are_arrays_written_as_reached(self):
+        # the writer reaches a generator's members only when it writes them,
+        # and it writes a long payload in several chunks
+        made = []
+
+        def members(n):
+            for i in range(n):
+                made.append(i)
+                yield {"i": i, "empty": (x for x in ())}
+
+        chunks = []
+        sigperm.cli._write_payload({"rows": members(3000)}, chunks.append)
+        doc = {"rows": [{"i": i, "empty": []} for i in range(3000)]}
+        assert "".join(chunks) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert made == list(range(3000)) and len(chunks) > 1
 
 
 class TestCount:
@@ -700,6 +718,88 @@ class TestTree:
         assert sorted(tuple(c["label"]) for c in doc["tree"]["children"]) == sorted(
             sigperm.gentree.successors(TreeLabel(3, 3, 3), sigperm.gentree.PATTERN_2143)
         )
+
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("pattern", ["2143", "1234"])
+    def test_streamed_dump_is_json_and_file_equals_stdout(
+        self, capsys, tmp_path, pattern, j, depth
+    ):
+        argv = ["tree", "--pattern", pattern, "--j", str(j), "--depth", str(depth)]
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        target = tmp_path / "tree.json"
+        assert main([*argv, "--format", "json", "--output", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+
+        # the manifest's wall time and command line differ by design
+        def masked(text):
+            text = re.sub(r'"wall_time_s": [-0-9.e]+', '"wall_time_s": 0', text)
+            return re.sub(r'"command": ".*"', '"command": ""', text)
+
+        assert masked(target.read_text(encoding="utf-8")) == masked(out)
+
+    def test_dump_holds_one_path_of_the_tree(self, tmp_path):
+        # a 770 KiB dump; building it whole peaked near 2.8 MiB
+        target = tmp_path / "tree.json"
+        argv = ["tree", "--pattern", "2143", "--j", "2", "--depth", "4", "--output", str(target)]
+        assert main(argv) == 0  # warm up: imports, caches and free lists
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert target.stat().st_size > 750_000
+        assert peak < 512 * 1024
+
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (("--j", "3", "--depth", "6"), "explicit tree capped"),
+            (("--j", "5", "--depth", "1"), "explicit tree capped"),
+            (("--j", "1", "--depth", "-1"), "depth must be nonnegative"),
+            (("--pattern", "321", "--j", "1", "--depth", "1"), "no generating tree for pattern 321"),
+        ],
+        ids=["node-cap", "statistic-cap", "negative-depth", "no-tree-pattern"],
+    )
+    def test_refusal_comes_before_the_first_byte(self, capsys, tmp_path, refused, message):
+        argv = ["tree", "--pattern", "2143", *refused, "--format", "json"]
+        target = tmp_path / "tree.json"
+        for extra in ([], ["--output", str(target)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *extra])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1 and message in captured.err
+            assert not target.exists()
+
+    def test_closed_pipe_exits_two_in_one_line(self):
+        # the reader goes away while the dump is written: one error line and
+        # exit 2, and nothing more from the interpreter at shutdown
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["tree", "--pattern", "2143", "--j", "2", "--depth", "4", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sigperm.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+        )
+        try:
+            head = proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert head == b'{\n  "manif'
+        assert proc.returncode == 2, err
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith("sigperm tree: error: BrokenPipeError: ")
 
     def test_negative_statistic_is_named(self, capsys):
         # the statistic is checked before the node cap runs the label DP

@@ -20,6 +20,7 @@ from sigperm.gentree import (
     active_sites,
     build_tree,
     children,
+    grow_tree,
     level_counts,
     stats,
     successors,
@@ -417,6 +418,26 @@ class TestExplicitTree:
         stats(w, pattern)
         assert scans == [w.full_images()]
         assert trials == [(w, label_gap)]
+
+    def test_grow_tree_grows_children_when_reached(self, monkeypatch):
+        # checks first, then one trial pass for the root; each child's pass
+        # runs only when the children iterator reaches it
+        expanded = []
+        true_expand = sigperm.gentree._expand
+
+        def expand(w, *args):
+            expanded.append(w)
+            return true_expand(w, *args)
+
+        monkeypatch.setattr(sigperm.gentree, "_expand", expand)
+        root = grow_tree(P2143, 1, 2, lambda perm, label, kids: (perm, label, kids))
+        assert expanded == [root[0]]
+        first = next(root[2])
+        assert expanded == [root[0], first[0]]
+        with pytest.raises(ValueError, match="capped"):
+            grow_tree(P2143, 3, 6, lambda *node: node)
+        assert len(expanded) == 2
+        assert first[1] == stats(first[0], P2143)
 
     def test_caps(self, monkeypatch):
         # the node cap counts the tree by level_counts before growing it
