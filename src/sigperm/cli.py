@@ -207,17 +207,18 @@ def _guard_cost(
 
 
 def _resolve_workers(args: argparse.Namespace, scans: bool = True) -> int:
-    """The worker count: ``--threads``, checked, else every usable CPU.  A
-    command that starts no process (``scans`` false) runs with 1."""
+    """The worker count: ``--threads``, checked, capped at the usable CPUs,
+    since no pool starts more processes than that; without ``--threads``,
+    every usable CPU.  A command that starts no process (``scans`` false)
+    runs with 1."""
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if not scans:
         return 1
-    if args.threads is not None:
-        return args.threads
     from . import oracle
 
-    return oracle.usable_cpus()
+    cpus = oracle.usable_cpus()
+    return cpus if args.threads is None else min(args.threads, cpus)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            help="brute-force worker processes (default: all usable cores)",
+            help="brute-force worker processes, at most the usable cores (default: all of them)",
         )
 
     p_count = sub.add_parser("count", help="avoider counts for one size")

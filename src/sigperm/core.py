@@ -170,6 +170,19 @@ def _nested_loops(pattern: Pattern, t: int) -> list[str]:
     or after it, and keeps the value ``v{i} = seq[p{i}]`` only between the
     two bounds of :func:`_containment_plan`.  The innermost loop returns the
     positions.  Each loop and test indents the lines after it one level.
+
+    Dominance: a later position of index ``i`` leaves the deeper loops a
+    subset of the positions an earlier one had, with the same earlier
+    values, so once a kept ``v{i}`` has found no match, a later value that
+    constrains the deeper loops at least as tightly cannot match either.
+    If the deeper loops use ``v{i}`` only as a lower bound, index ``i``
+    keeps values below the threshold ``m{i}``, set to each failed value; if
+    only as an upper bound, values above it.  ``m{i}`` starts at the bound
+    it tightens, or at infinity where there is none, so it replaces that
+    bound in the test.  If the deeper loops never use ``v{i}``, the loop
+    ends after its first kept value fails; if they use it as both, nothing
+    is pruned.  Only subtrees that cannot match are skipped, so the search
+    still returns the first occurrence in the same loop order.
     """
     k = len(pattern)
     order = [i for i in range(k) if i != t]
@@ -177,30 +190,43 @@ def _nested_loops(pattern: Pattern, t: int) -> list[str]:
         order.insert(0, t)
     lo, hi = _containment_plan(pattern, order)
     lines = []
+    closers = []  # per depth, the line run once its deeper loops find nothing
     pad = ""
     for d, i in enumerate(order):
         if i == t:
             continue
+        as_lo = i in lo[d + 1 :]
+        as_hi = i in hi[d + 1 :]
+        low = f"v{lo[d]}" if lo[d] >= 0 else None
+        high = f"v{hi[d]}" if hi[d] >= 0 else None
+        if d == k - 1 or as_lo and as_hi:
+            closer = None
+        elif as_lo:  # deeper values lie above v{i}: keep values below the failures
+            lines.append(f"{pad}m{i} = {high or 'INF'}")
+            high, closer = f"m{i}", f"m{i} = v{i}"
+        elif as_hi:  # deeper values lie below v{i}: keep values above the failures
+            lines.append(f"{pad}m{i} = {low or '-INF'}")
+            low, closer = f"m{i}", f"m{i} = v{i}"
+        else:
+            closer = "break"
         start = f"p{i - 1} + 1" if i else "0"
         end, room = ("pin", t - 1 - i) if i < t else ("n", k - 1 - i)
         stop = f"{end} - {room}" if room else end
         lines += [f"{pad}for p{i} in range({start}, {stop}):", f"{pad}    v{i} = seq[p{i}]"]
         pad += "    "
-        chain = [f"v{i}"]
-        if lo[d] >= 0:
-            chain.insert(0, f"v{lo[d]}")
-        if hi[d] >= 0:
-            chain.append(f"v{hi[d]}")
+        chain = [bound for bound in (low, f"v{i}", high) if bound]
         if len(chain) > 1:
             lines.append(f"{pad}if {' < '.join(chain)}:")
             pad += "    "
+        if closer:
+            closers.append(pad + closer)
     positions = ", ".join(f"p{i}" for i in range(k))
-    return [*lines, f"{pad}return [{positions}]"]
+    return [*lines, f"{pad}return [{positions}]", *reversed(closers)]
 
 
 def _compile(name: str, lines: list[str]) -> Callable:
     """Define the function ``name`` from generated source lines."""
-    namespace: dict = {}
+    namespace: dict = {"INF": float("inf")}
     exec(compile("\n".join(lines), f"<sigperm {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -226,9 +252,14 @@ def find_occurrence_positions(
     pruning, compiled once per pattern (and per process) into plain nested
     ``for`` loops, one per pattern index: each loop tests its value against
     the matches of the largest smaller and the smallest larger earlier
-    pattern entry.  Worst case ``O(len(seq) ** len(pattern))``, heavily
-    pruned in practice.  Values of ``seq`` must be distinct; only
-    comparisons are used.  Returns the increasing positions, or ``None``.
+    pattern entry.  Worst case ``O(len(seq) ** len(pattern))``.  Each loop
+    also skips the candidates a failed earlier one dominates (see
+    :func:`_nested_loops`): once a value has found no match below it, a
+    later value that bounds the deeper loops at least as tightly is not
+    tried.  Only subtrees without a match are skipped, so the result is
+    still the first occurrence, in one call per word.  Values of ``seq``
+    must be distinct real numbers; only comparisons are used, with each
+    other and with infinity.  Returns the increasing positions, or ``None``.
     """
     search = _SEARCHES.get(pattern.values)
     if search is None:

@@ -185,7 +185,8 @@ class TestCount:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(target) in err
 
-    def test_deterministic_across_workers(self, capsys):
+    def test_deterministic_across_workers(self, capsys, monkeypatch):
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 2)
         _, doc1 = run_json(
             capsys, "count", "--n", "5", "--pattern", "2143", "--threads", "1"
         )
@@ -196,9 +197,10 @@ class TestCount:
         assert doc1["manifest"]["workers"] == 1
         assert doc2["manifest"]["workers"] == 2
 
-    def test_workers_reports_processes_started(self, capsys):
+    def test_workers_reports_processes_started(self, capsys, monkeypatch):
         # only the exhaustive scan starts processes; the other methods run
         # in one whatever --threads asks for
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 2)
         for method, workers in [("tree", 1), ("gf", 1), ("brute", 2)]:
             _, doc = run_json(
                 capsys, "count", "--n", "5", "--pattern", "2143",
@@ -237,6 +239,30 @@ class TestCount:
             main(["count", "--n", "3", "--pattern", "1234", *extra])
         assert exc.value.code == 2
         assert f"about {checks} containment checks" in capsys.readouterr().err
+
+    def test_threads_capped_at_usable_cpus(self, capsys, monkeypatch):
+        # every pool is capped at the usable CPUs, and so is the manifest
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", InlinePool)
+        _, doc = run_json(capsys, "count", "--n", "4", "--pattern", "1234", "--threads", "8")
+        assert doc["manifest"]["workers"] == 2
+        assert pools and set(pools) == {2}
+        assert [row["count"] for row in doc["rows"]] == ["23", "80", "63", "16", "1", "183"]
 
     def test_default_workers_are_usable_cpus(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 1)

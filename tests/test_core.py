@@ -166,7 +166,7 @@ class TestFirstOccurrence:
                     ), (seq, pattern)
 
     @given(
-        st.lists(st.integers(-30, 30), max_size=10, unique=True),
+        st.lists(st.integers(-30, 30), max_size=14, unique=True),
         st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
     )
     def test_random_sequences(self, seq, values):
@@ -226,7 +226,7 @@ class TestPinnedKernel:
                         _check_through(seq, Pattern.parse(text), pin)
 
     @given(
-        st.lists(st.integers(-30, 30), min_size=1, max_size=9, unique=True),
+        st.lists(st.integers(-30, 30), min_size=1, max_size=12, unique=True),
         st.sampled_from(PINNED_PATTERNS),
         st.data(),
     )
@@ -237,6 +237,59 @@ class TestPinnedKernel:
     def test_pin_out_of_range(self):
         with pytest.raises(IndexError):
             find_occurrence_through([1, 2], P1234, 2)
+
+
+# the tree patterns and four more; between them, their whole-word and pinned
+# loops keep values below a threshold, above one, or stop at the first failure
+PRUNED_PATTERNS = ("1234", "2143", "1243", "3142", "12345", "21354")
+
+
+class TestDominancePruning:
+    """Both kernels against the references on words long enough for every
+    pruning mode of the compiled loops to fire."""
+
+    def test_every_word_of_b4_at_every_pin(self):
+        words = [w.full_images() for w in signed_permutations(4)]
+        for text in PRUNED_PATTERNS:
+            pattern = Pattern.parse(text)
+            for seq in words:
+                # every occurrence, in lexicographic order, from one pass
+                occurrences = [
+                    combo
+                    for combo in itertools.combinations(range(len(seq)), len(pattern))
+                    if standardize([seq[p] for p in combo]) == pattern.values
+                ]
+                first = list(occurrences[0]) if occurrences else None
+                assert find_occurrence_positions(seq, pattern) == first, (seq, text)
+                covered = {p for combo in occurrences for p in combo}
+                for pin in range(len(seq)):
+                    got = find_occurrence_through(seq, pattern, pin)
+                    assert (got is not None) == (pin in covered), (seq, text, pin)
+                    if got is not None:
+                        assert pin in got and tuple(got) in occurrences, (seq, text, pin)
+
+    @pytest.mark.parametrize(
+        "text, word, first",
+        [
+            # lower-bound threshold: with v0 = -3, the failed v1 = 2 drops the
+            # later v1 = 4, and v1 = -1 then completes -3 -1 1 3
+            ("1234", "[-3,2,4,-1]", [0, 3, 4, 7]),
+            # upper-bound threshold (2143's never drops a value the bounds
+            # keep: that value would complete the failed candidate): with
+            # v0 = -1, the failed v1 = -2 drops the later v1 = -3, and
+            # v0 = 3 then starts 3 2 -2 -3
+            ("4321", "[-4,-1,3,2]", [2, 3, 4, 5]),
+            # the stop: v1 is no bound of any later value, so once v1 = -1
+            # fails under v0 = 2, v1 = -3 is not tried; the first occurrence
+            # starts at v0 = -1
+            ("2143", "[2,-1,-3]", [1, 2, 3, 4]),
+        ],
+    )
+    def test_first_occurrence_after_a_pruned_candidate(self, text, word, first):
+        pattern = Pattern.parse(text)
+        seq = parse(word).full_images()
+        assert first_occurrence(seq, pattern) == first
+        assert find_occurrence_positions(seq, pattern) == first
 
 
 def _restricted_contains(w, pattern):
