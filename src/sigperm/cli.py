@@ -206,14 +206,14 @@ def _guard_cost(
         )
 
 
-def _resolve_workers(args: argparse.Namespace, scans: bool = True) -> int:
+def _resolve_workers(args: argparse.Namespace, pooled: bool) -> int:
     """The worker count: ``--threads``, checked, capped at the usable CPUs,
     since no pool starts more processes than that; without ``--threads``,
-    every usable CPU.  A command that starts no process (``scans`` false)
-    runs with 1."""
+    every usable CPU.  A run that cannot start a pool (``pooled`` false:
+    its route has fewer than two blocks, or none) runs with 1."""
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    if not scans:
+    if not pooled:
         return 1
     from . import oracle
 
@@ -238,8 +238,8 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
     if args.j is not None and not 0 <= args.j <= args.n:
         raise ValueError(f"--j {args.j} outside 0..{args.n}")
-    # only the exhaustive scan starts processes
-    workers = _resolve_workers(args, scans=method == "brute")
+    # only the exhaustive scan starts processes, and only from size 2
+    workers = _resolve_workers(args, pooled=method == "brute" and args.n >= 2)
     if method == "brute":
         # a pooled scan is not cached, so a pooled row scans once per j
         pooled_row = workers > 1 and args.j is None
@@ -294,7 +294,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--max-n must be at least 1")
     # one whole scan per pattern
     _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
-    workers = _resolve_workers(args)
+    # the scan's blocks start at size 2
+    workers = _resolve_workers(args, pooled=args.max_n >= 2)
     started = time.perf_counter()
     rows = checks.run_checks(args.max_n, workers)
     manifest = {
@@ -320,7 +321,10 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         raise ValueError("--max-n must be at least 1")
     walks = sum(1 if p.reverse_complement() == p else 2 for p in (p1, p2))
     _guard_cost(args, "--max-n", range(args.max_n + 1), walks)
-    workers = _resolve_workers(args)
+    # the walk's blocks are the avoiders of size max_n // 2: one, the empty
+    # word, below size 2, and at most one of each size for a pattern of
+    # length 1 or 2 (12 is avoided only by the decreasing word)
+    workers = _resolve_workers(args, pooled=args.max_n >= 2 and len(p1) >= 3)
     started = time.perf_counter()
     rows1 = oracle.avoider_rows(args.max_n, p1, workers=workers)
     rows2 = oracle.avoider_rows(args.max_n, p2, workers=workers)

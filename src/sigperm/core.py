@@ -257,9 +257,11 @@ def find_occurrence_positions(
     :func:`_nested_loops`): once a value has found no match below it, a
     later value that bounds the deeper loops at least as tightly is not
     tried.  Only subtrees without a match are skipped, so the result is
-    still the first occurrence, in one call per word.  Values of ``seq``
-    must be distinct real numbers; only comparisons are used, with each
-    other and with infinity.  Returns the increasing positions, or ``None``.
+    still the first occurrence, in one call per word.  ``seq`` may be any
+    sequence, and it is only read, during the call: the whole-word scan
+    passes one list that it changes between calls.  Its values must be
+    distinct real numbers; only comparisons are used, with each other and
+    with infinity.  Returns the increasing positions, or ``None``.
     """
     search = _SEARCHES.get(pattern.values)
     if search is None:

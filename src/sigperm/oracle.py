@@ -6,7 +6,11 @@ All counts are exact Python integers.
 
 Two brute routes count avoiders.  :func:`avoider_counts` scans every word of
 ``B_n`` whole with the containment kernel, and :func:`scan_rows` gives that
-scan's rows for every size up to ``N`` and several patterns at once.
+scan's rows for every size up to ``N`` and several patterns at once.  The
+scan fixes the first image per block, and per ordering of the other
+absolute values steps through the sign vectors in reflected binary Gray
+order, so consecutive words differ in one sign and its mirror, changed in
+place in one list.
 :func:`avoider_rows` grows the avoiders depth-first and checks each new word
 only through its new entries with the pinned kernel,
 ``core.find_occurrence_through``; ``gentree`` grows its trees with that same
@@ -25,7 +29,6 @@ import os
 from contextlib import contextmanager
 from functools import lru_cache
 from math import comb
-from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -106,24 +109,31 @@ def _count_row(n: int, pattern_values: tuple[int, ...], first: int) -> list[int]
     """Avoider counts by positive-entry statistic over one enumeration block,
     the words of size ``n`` whose negative half starts with the image ``first``.
 
-    Each word is built flat: an ordering of the other absolute values,
-    mirrored into the full image sequence, times one of the precomputed sign
-    vectors, whose statistic j is precomputed with it.
+    Per ordering of the other absolute values, the full image sequence is
+    built once, as a list with every tail sign ``+``, and the ``2^(n-1)``
+    tail sign vectors are walked in reflected binary Gray order: step ``g``
+    flips tail entry ``t = ctz(g)``, which swaps index ``1 + t`` with its
+    mirror ``2n - 2 - t``.  After step ``g`` the negative tail entries are
+    the ones of the Gray code ``g ^ (g >> 1)``, so the statistic j (the
+    negative entries of the negative half) is the same for every ordering
+    and computed once per block.  Each word is checked by one kernel call on
+    that same list.
     """
     pattern = Pattern(pattern_values)
-    head, head_signs = (abs(first),), (1 if first > 0 else -1,)
     rest = [a for a in range(1, n + 1) if a != abs(first)]
-    sign_vectors = []
-    for tail in itertools.product((1, -1), repeat=len(rest)):
-        signs = head_signs + tail
-        mirrored = signs + tuple(-s for s in reversed(signs))
-        sign_vectors.append((mirrored, signs.count(-1)))
+    head_j = int(first < 0)
+    steps = []
+    for g in range(1, 1 << len(rest)):
+        i = (g & -g).bit_length()  # 1 + ctz(g)
+        steps.append((i, 2 * n - 1 - i, head_j + bin(g ^ g >> 1).count("1")))
     counts = [0] * (n + 1)
     for tail in itertools.permutations(rest):
-        perm = head + tail
-        images = perm + perm[::-1]
-        for mirrored, j in sign_vectors:
-            if find_occurrence_positions(tuple(map(mul, images, mirrored)), pattern) is None:
+        seq = [first, *tail, *[-a for a in reversed(tail)], -first]
+        if find_occurrence_positions(seq, pattern) is None:
+            counts[head_j] += 1
+        for i, mirror, j in steps:
+            seq[i], seq[mirror] = seq[mirror], seq[i]
+            if find_occurrence_positions(seq, pattern) is None:
                 counts[j] += 1
     return counts
 

@@ -38,6 +38,35 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+class InlinePool:
+    """A stand-in executor that records each pool's size and runs its
+    blocks in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools started while the test runs, on a host with
+    2 usable CPUs."""
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 2)
+    return InlinePool.sizes
+
+
 JSON_COMMANDS = [
     ("count", "--n", "3", "--pattern", "2143"),
     ("verify", "--max-n", "3", "--threads", "1"),
@@ -240,29 +269,32 @@ class TestCount:
         assert exc.value.code == 2
         assert f"about {checks} containment checks" in capsys.readouterr().err
 
-    def test_threads_capped_at_usable_cpus(self, capsys, monkeypatch):
+    def test_threads_capped_at_usable_cpus(self, capsys, pool_sizes):
         # every pool is capped at the usable CPUs, and so is the manifest
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", InlinePool)
         _, doc = run_json(capsys, "count", "--n", "4", "--pattern", "1234", "--threads", "8")
         assert doc["manifest"]["workers"] == 2
-        assert pools and set(pools) == {2}
+        assert pool_sizes and set(pool_sizes) == {2}
         assert [row["count"] for row in doc["rows"]] == ["23", "80", "63", "16", "1", "183"]
+
+    # the scans split into blocks from size 2 on, the walk into the avoiders
+    # of size max_n // 2, of which 12 has one
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [
+            (["count", "--n", "1", "--pattern", "1234"], 1),
+            (["count", "--n", "2", "--pattern", "1234"], 2),
+            (["verify", "--max-n", "1"], 1),
+            (["verify", "--max-n", "2"], 2),
+            (["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "1"], 1),
+            (["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "2"], 2),
+            (["conjecture", "--p1", "132", "--p2", "213", "--max-n", "3"], 2),
+            (["conjecture", "--p1", "12", "--p2", "12", "--max-n", "5"], 1),
+        ],
+    )
+    def test_workers_is_the_largest_pool_started(self, capsys, pool_sizes, argv, workers):
+        code, doc = run_json(capsys, *argv, "--threads", "2")
+        assert code == 0
+        assert doc["manifest"]["workers"] == workers == max(pool_sizes, default=1)
 
     def test_default_workers_are_usable_cpus(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 1)

@@ -10,7 +10,7 @@ import pytest
 
 import sigperm.cli
 import sigperm.oracle
-from sigperm.core import Pattern
+from sigperm.core import Pattern, find_occurrence_positions, signed_permutations
 from sigperm.oracle import (
     _avoider_row,
     _count_row,
@@ -139,6 +139,41 @@ class TestFlatEnumeration:
             ], first
             blocks.append(block)
         assert tuple(sum(col) for col in zip(*blocks)) == _avoider_row(n, self.LONG)
+
+
+class TestGrayWalk:
+    """``_count_row`` walks each block's sign vectors in Gray order on one
+    list; these tests hold it to the words and statistics of a plain
+    enumeration of the same block, which a long pattern cannot tell apart."""
+
+    @staticmethod
+    def _block(n, first):
+        return [w for w in signed_permutations(n) if w.neg_images[0] == first]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_each_word_of_the_block_checked_once(self, monkeypatch, n):
+        for first in (v for v in range(-n, n + 1) if v):
+            seen = []
+
+            def spy(seq, pattern):
+                seen.append(tuple(seq))
+                return find_occurrence_positions(seq, pattern)
+
+            monkeypatch.setattr(sigperm.oracle, "find_occurrence_positions", spy)
+            _count_row(n, P2143.values, first)
+            expected = [w.full_images() for w in self._block(n, first)]
+            assert sorted(seen) == sorted(expected), first
+
+    @pytest.mark.parametrize("pattern", ["1234", "2143", "132", "12345"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_rows_match_a_per_word_reference(self, pattern, n):
+        p = Pattern.parse(pattern)
+        for first in (v for v in range(-n, n + 1) if v):
+            expected = [0] * (n + 1)
+            for w in self._block(n, first):
+                if find_occurrence_positions(w.full_images(), p) is None:
+                    expected[sum(v < 0 for v in w.neg_images)] += 1
+            assert _count_row(n, p.values, first) == expected, first
 
 
 class TestTypeD:
