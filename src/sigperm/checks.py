@@ -38,10 +38,19 @@ def run_checks(max_n: int, workers: int) -> list[dict[str, str]]:
     routes = ("brute", "tree", "gf")
 
     def series_grid() -> Iterator[str]:
-        # the memo keys carry the rule, so one cache serves both
-        cache = gf.SeriesCache(SERIES_GRID_DEGREE)
+        # F(., ., gamma) reads only the memo entries of gamma's suffixes, and
+        # those with two or more entries end in gamma's last two; so each
+        # group of signatures sharing that tail gets a cache of its own,
+        # dropped when the group ends, and only the one-entry series s^k are
+        # computed again.  The memo keys carry the rule, so one cache serves
+        # both.
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for g1 in range(1, 6):
             for gamma in gf.signatures(g1, 4):
+                groups.setdefault(gamma[-2:], []).append(gamma)
+        for group in groups.values():
+            cache = gf.SeriesCache(SERIES_GRID_DEGREE)
+            for gamma in group:
                 for k in range(6):
                     for q in range(1, 6):
                         if cache.series(p2143, k, q, gamma) != cache.series(

@@ -206,19 +206,19 @@ def _guard_cost(
         )
 
 
-def _resolve_workers(args: argparse.Namespace, pooled: bool) -> int:
-    """The worker count: ``--threads``, checked, capped at the usable CPUs,
-    since no pool starts more processes than that; without ``--threads``,
-    every usable CPU.  A run that cannot start a pool (``pooled`` false:
-    its route has fewer than two blocks, or none) runs with 1."""
+def _resolve_workers(args: argparse.Namespace, blocks: int) -> int:
+    """The largest pool a route of ``blocks`` blocks starts, sized as
+    ``oracle._run_blocks`` sizes it: ``--threads``, checked, or without it
+    every usable CPU, capped at the usable CPUs and at ``blocks``.  A route
+    of fewer than two blocks starts no pool and runs with 1."""
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
-    if not pooled:
+    if blocks < 2:
         return 1
     from . import oracle
 
     cpus = oracle.usable_cpus()
-    return cpus if args.threads is None else min(args.threads, cpus)
+    return min(cpus if args.threads is None else args.threads, cpus, blocks)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -238,8 +238,9 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
     if args.j is not None and not 0 <= args.j <= args.n:
         raise ValueError(f"--j {args.j} outside 0..{args.n}")
-    # only the exhaustive scan starts processes, and only from size 2
-    workers = _resolve_workers(args, pooled=method == "brute" and args.n >= 2)
+    # only the exhaustive scan starts processes, with 2n blocks from size 2
+    blocks = 2 * args.n if method == "brute" and args.n >= 2 else 0
+    workers = _resolve_workers(args, blocks)
     if method == "brute":
         # a pooled scan is not cached, so a pooled row scans once per j
         pooled_row = workers > 1 and args.j is None
@@ -294,8 +295,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--max-n must be at least 1")
     # one whole scan per pattern
     _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
-    # the scan's blocks start at size 2
-    workers = _resolve_workers(args, pooled=args.max_n >= 2)
+    # the scans' blocks: 2n for each pattern and size 2 <= n <= max_n
+    workers = _resolve_workers(args, 2 * (args.max_n**2 + args.max_n - 2))
     started = time.perf_counter()
     rows = checks.run_checks(args.max_n, workers)
     manifest = {
@@ -321,13 +322,14 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
         raise ValueError("--max-n must be at least 1")
     walks = sum(1 if p.reverse_complement() == p else 2 for p in (p1, p2))
     _guard_cost(args, "--max-n", range(args.max_n + 1), walks)
-    # the walk's blocks are the avoiders of size max_n // 2: one, the empty
-    # word, below size 2, and at most one of each size for a pattern of
-    # length 1 or 2 (12 is avoided only by the decreasing word)
-    workers = _resolve_workers(args, pooled=args.max_n >= 2 and len(p1) >= 3)
+    # the walk's blocks are the avoiders of size max_n // 2, at most every
+    # signed permutation of that size; the walk's rows count them
+    half = args.max_n // 2
+    workers = _resolve_workers(args, 2**half * math.factorial(half))
     started = time.perf_counter()
     rows1 = oracle.avoider_rows(args.max_n, p1, workers=workers)
     rows2 = oracle.avoider_rows(args.max_n, p2, workers=workers)
+    workers = _resolve_workers(args, max(sum(rows1[half]), sum(rows2[half])))
     rows = [
         {
             "n": n,

@@ -118,7 +118,9 @@ class SeriesCache:
     The memo maps keys (rule, k, q, gamma), where the rule is True for 2143
     and False for 1234, to tuples of ``degree_bound + 1`` coefficients; the
     degree bound is ambient to the session, so entries from different bounds
-    never mix, and :meth:`series` returns the memoized tuple itself.
+    never mix, and :meth:`series` returns the memoized tuple itself.  The
+    memo keeps every entry for the cache's lifetime, about 0.5 KB per entry
+    at degree 10, so a long session bounds its memory by dropping the cache.
     Evaluation is a pure function of the key, so concurrent duplicate
     computation would be idempotent; within one session a plain dict
     suffices.

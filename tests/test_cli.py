@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sigperm.checks
 import sigperm.cli
 import sigperm.core
 import sigperm.gentree
@@ -295,6 +296,28 @@ class TestCount:
         code, doc = run_json(capsys, *argv, "--threads", "2")
         assert code == 0
         assert doc["manifest"]["workers"] == workers == max(pool_sizes, default=1)
+
+    # with 8 usable CPUs, a route of fewer blocks starts a smaller pool: 2n
+    # blocks for a scan, 2 (n^2 + n - 2) for verify's scans, and the
+    # avoiders of size max_n // 2 for each walk (both words of size 1, and
+    # 7 of the 8 of size 2)
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [
+            (["count", "--n", "2", "--pattern", "1234", "--threads", "8"], 4),
+            (["count", "--n", "3", "--pattern", "1234"], 6),
+            (["verify", "--max-n", "2", "--threads", "8"], 8),
+            (["conjecture", "--p1", "123", "--p2", "132", "--max-n", "3", "--threads", "8"], 2),
+            (["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "3"], 2),
+            (["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "4", "--threads", "8"], 7),
+        ],
+    )
+    def test_workers_is_capped_at_the_blocks(
+        self, capsys, monkeypatch, pool_sizes, argv, workers
+    ):
+        monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 8)
+        _, doc = run_json(capsys, *argv)  # 123 and 132 differ, so exit 1
+        assert doc["manifest"]["workers"] == workers == max(pool_sizes)
 
     def test_default_workers_are_usable_cpus(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 1)
@@ -587,6 +610,57 @@ class TestVerify:
             "n=2: slices={'brute[1234]': 3, 'brute[2143]': 3, 'tree[1234]': 3, "
             "'tree[2143]': 3, 'gf[1234]': 3, 'gf[2143]': 4}"
         )
+
+    def test_series_grid_calls_each_point_once(self, monkeypatch):
+        calls = []
+        true_series = sigperm.gf.SeriesCache.series
+
+        def recording(cache, pattern, k, q, gamma):
+            calls.append((str(pattern), k, q, tuple(gamma)))
+            return true_series(cache, pattern, k, q, gamma)
+
+        monkeypatch.setattr(sigperm.gf.SeriesCache, "series", recording)
+        assert sigperm.checks.run_checks(1, 1)[-1]["status"] == "pass"
+        grid = {
+            (pattern, k, q, gamma)
+            for pattern in ("1234", "2143")
+            for g1 in range(1, 6)
+            for gamma in sigperm.gf.signatures(g1, 4)
+            for k in range(6)
+            for q in range(1, 6)
+        }
+        assert len(grid) == 2 * 240 * 6 * 5
+        assert len(calls) == len(grid) and set(calls) == grid
+
+    def test_planted_series_fault_is_named(self, capsys, monkeypatch):
+        true_series = sigperm.gf.SeriesCache.series
+        planted = ("1234", 5, 5, (5, 6, 7, 8))
+
+        def perturbed(cache, pattern, k, q, gamma):
+            series = true_series(cache, pattern, k, q, gamma)
+            if (str(pattern), k, q, tuple(gamma)) == planted:
+                return (*series[:-1], series[-1] + 1)
+            return series
+
+        monkeypatch.setattr(sigperm.gf.SeriesCache, "series", perturbed)
+        code, doc = run_json(capsys, "verify", "--max-n", "1")
+        assert code == 1
+        failed = [row for row in doc["rows"] if row["status"] == "fail"]
+        assert failed == [
+            {"name": "series-grid", "status": "fail", "detail": "k=5 q=5 gamma=(5, 6, 7, 8)"}
+        ]
+
+    def test_series_grid_holds_one_tail_group(self):
+        # one memo for the whole grid held all 16 776 entries, 7.8 MiB
+        assert sigperm.checks.run_checks(2, 1)  # warm up: imports, caches and free lists
+        tracemalloc.start()
+        try:
+            rows = sigperm.checks.run_checks(2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert {row["status"] for row in rows} == {"pass"}
+        assert peak < 2 * 1024 * 1024
 
     def test_failure_detail_survives_csv(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.oracle, "egge_formula", lambda n: 0)
