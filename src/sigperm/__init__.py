@@ -8,7 +8,11 @@ checkable is the point of the package.
 
 ``import sigperm`` loads no submodule.  Each re-exported name, and each
 submodule, is resolved on first use through a module ``__getattr__``
-(PEP 562), so a command compiles only the modules it runs.
+(PEP 562), so a command compiles only the modules it runs.  Two leaf
+modules hold what the fast counting routes share with the others:
+:mod:`sigperm.pattern` the pattern (the kernel in :mod:`sigperm.core`
+re-exports it) and :mod:`sigperm.formulas` the closed forms (the scan in
+:mod:`sigperm.oracle` imports them).
 """
 
 __version__ = "0.1.0"
@@ -17,11 +21,11 @@ __version__ = "0.1.0"
 # one of them, and this table, which tests/test_exports.py pins to those
 # lists, says which module defines each name
 _EXPORTS = {
-    "core": ("Pattern", "SignedPermutation", "parse", "signed_permutations"),
+    "pattern": ("Pattern", "TREE_PATTERNS"),
+    "core": ("SignedPermutation", "parse", "signed_permutations"),
     "gentree": (
         "TreeLabel",
         "PermTreeNode",
-        "TREE_PATTERNS",
         "tree_root",
         "children",
         "stats",
@@ -42,10 +46,8 @@ _EXPORTS = {
         "signature_of",
         "path_profile",
     ),
+    "formulas": ("catalan", "egge_formula", "classical_1234_formula"),
     "oracle": (
-        "catalan",
-        "egge_formula",
-        "classical_1234_formula",
         "avoider_counts",
         "scan_rows",
         "avoider_rows",

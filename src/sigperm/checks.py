@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import gf, labeltable, oracle
-from .core import TREE_PATTERNS, Pattern
+from .pattern import TREE_PATTERNS, Pattern
 
 __all__ = ["run_checks"]
 

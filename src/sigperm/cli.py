@@ -16,8 +16,12 @@ interrupt into one stderr line and exit 130.
 
 Each command imports the route modules it runs, and ``verify`` its checks
 (:mod:`sigperm.checks`), when it runs: ``--version`` and ``--help`` load
-no other ``sigperm`` module, and ``count --method formula`` never compiles
-the tree or series route.  This module only parses and renders.
+no other ``sigperm`` module, and ``count --method tree|gf|formula``
+compiles neither the containment kernel (:mod:`sigperm.core`) nor the scan
+(:mod:`sigperm.oracle`), since it reads its pattern from the leaf
+:mod:`sigperm.pattern` and Egge's sum from the leaf
+:mod:`sigperm.formulas`.  JSON payloads are written without the ``json``
+package.  This module only parses and renders.
 """
 
 from __future__ import annotations
@@ -47,9 +51,16 @@ def _write_payload(doc: dict[str, Any], write: Callable[[str], Any]) -> None:
     ``TypeError``; a generator is written as an array, each member made as
     it is reached.  Parts go out about every ``WRITE_BATCH`` of them, at
     the end of an object or array, so a payload whose arrays are generators
-    is written while it is made and never held whole.
+    is written while it is made and never held whole.  Strings are quoted
+    by ``_json``'s C function, the one ``json.encoder`` binds, so no payload
+    loads the ``json`` package; an interpreter without ``_json`` quotes
+    through ``json.encoder``.
     """
-    from json.encoder import encode_basestring_ascii as quote
+    from importlib import import_module
+    from importlib.util import find_spec
+
+    module = import_module("_json" if find_spec("_json") else "json.encoder")
+    quote = module.encode_basestring_ascii
 
     parts: list[str] = []
     append, extend = parts.append, parts.extend
@@ -222,7 +233,7 @@ def _resolve_workers(args: argparse.Namespace, blocks: int) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .core import Pattern
+    from .pattern import Pattern
 
     pattern = Pattern.parse(args.pattern)
     method = args.method
@@ -252,11 +263,13 @@ def cmd_count(args: argparse.Namespace) -> int:
         from . import labeltable
     elif method == "tree":
         from . import gentree
+    elif method == "formula":
+        from . import formulas
     else:
         from . import oracle
     started = time.perf_counter()
     if method == "formula":
-        cells = [(None, oracle.egge_formula(args.n))]
+        cells = [(None, formulas.egge_formula(args.n))]
     else:
         js = [args.j] if args.j is not None else range(args.n + 1)
         if method == "gf":
@@ -312,7 +325,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
     from . import oracle
-    from .core import Pattern
+    from .pattern import Pattern
 
     p1 = Pattern.parse(args.p1)
     p2 = Pattern.parse(args.p2)
@@ -360,7 +373,7 @@ def _series_text(coeffs: tuple[int, ...]) -> str:
 
 def cmd_gf(args: argparse.Namespace) -> int:
     from . import gf
-    from .core import Pattern
+    from .pattern import Pattern
 
     pattern = Pattern.parse(args.pattern)
     tokens = args.gamma.split(",")
@@ -413,7 +426,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     from . import gentree
-    from .core import Pattern
+    from .pattern import Pattern
 
     pattern = Pattern.parse(args.pattern)
     started = time.perf_counter()
@@ -515,11 +528,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     raises after that (bad input, an unwritable ``--output``, running out of
     memory) becomes one stderr line and exit 2, so exit 1 always means a
     found inequality.  An interrupt (Ctrl-C) becomes one stderr line and
-    exit 130.
+    exit 130.  While the command runs, the interpreter's limit on the digits
+    of an int converted to text is lifted, so exact counts of any size
+    print; it is restored when the command returns.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     args.argv = ["sigperm"] + argv
+    # 4300 digits by default, from Python 3.10.7 and 3.11 on; 0 means no limit
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except KeyboardInterrupt:
@@ -532,6 +551,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         line = f"sigperm {args.subcommand}: error: {message}"
         print(line.replace("\n", " "), file=sys.stderr)
         sys.exit(2)
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -40,23 +40,22 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-# the tree patterns live in core, which the series route shares without
-# loading this module; they are re-exported here
-from .core import (
+from .core import SignedPermutation, find_occurrence_positions, find_occurrence_through
+
+# the tree patterns live in a leaf module, which the label table and the
+# series route share without loading this module or the kernel; they are
+# re-exported here
+from .pattern import (
     PATTERN_1234,
     PATTERN_2143,
     TREE_PATTERNS,
     Pattern,
-    SignedPermutation,
     _require_tree_pattern,
-    find_occurrence_positions,
-    find_occurrence_through,
 )
 
 __all__ = [
     "TreeLabel",
     "PermTreeNode",
-    "TREE_PATTERNS",
     "tree_root",
     "children",
     "stats",

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Counter as CounterT, Iterable
 
 from collections import Counter
 
-from .core import Pattern, _require_tree_pattern
+from .pattern import Pattern, _require_tree_pattern
 
 if TYPE_CHECKING:
     from .gentree import TreeLabel

@@ -13,8 +13,8 @@ and z make each cell O(1).  The roots read at step ``r`` have
 ``y`` one higher and ``z`` no higher, so step ``r`` keeps just those labels:
 about ``N**4 / 8`` cells in all.
 
-This module needs only ``core``: the tree counts load it without the
-explicit tree.  ``gentree.level_counts`` runs the same rules forward from
+This module needs only :mod:`sigperm.pattern`: the tree counts load it
+without the explicit tree or the containment kernel.  ``gentree.level_counts`` runs the same rules forward from
 one root, and the tests check the two against each other and against
 ``gentree.successors``.
 """
@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterator
 
-from .core import Pattern, _require_tree_pattern
+from .pattern import Pattern, _require_tree_pattern
 
 __all__ = ["tree_rows"]
 
@@ -101,7 +101,7 @@ def tree_rows(max_n: int, pattern: Pattern) -> tuple[tuple[int, ...], ...]:
     once.  Raises ``ValueError`` for ``max_n < 0``, for a pattern with no
     generating tree, and for ``max_n > MAX_TABLE_N``, before allocating.
 
-    >>> from .core import PATTERN_2143
+    >>> from .pattern import PATTERN_2143
     >>> tree_rows(3, PATTERN_2143)
     ((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))
     """

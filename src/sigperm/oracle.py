@@ -1,4 +1,6 @@
-"""Ground-truth counting: exhaustive search and closed-form evaluators.
+"""Ground-truth counting: exhaustive search, and the closed forms of
+:mod:`sigperm.formulas`, imported here for the checks that hold the scan
+against them.
 
 Everything here is independent of the generating-tree and generating-function
 machinery, so the three counting routes can be checked against each other.
@@ -28,7 +30,6 @@ import itertools
 import os
 from contextlib import contextmanager
 from functools import lru_cache
-from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -37,11 +38,9 @@ from .core import (
     find_occurrence_positions,
     find_occurrence_through,
 )
+from .formulas import catalan, classical_1234_formula, egge_formula
 
 __all__ = [
-    "catalan",
-    "egge_formula",
-    "classical_1234_formula",
     "avoider_counts",
     "scan_rows",
     "avoider_rows",
@@ -63,46 +62,6 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def catalan(j: int) -> int:
-    """The j-th Catalan number ``C(2j, j) / (j + 1)``, exactly."""
-    if j < 0:
-        raise ValueError("catalan argument must be nonnegative")
-    num = comb(2 * j, j)
-    q, r = divmod(num, j + 1)
-    if r:
-        raise ArithmeticError(f"C({2 * j}, {j}) is not divisible by {j + 1}")
-    return q
-
-
-def egge_formula(n: int) -> int:
-    """Egge's count of 1234-avoiding signed permutations of size ``n``.
-
-    >>> [egge_formula(n) for n in range(7)]
-    [1, 2, 7, 33, 183, 1118, 7281]
-    """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    return sum(comb(n, j) ** 2 * catalan(j) for j in range(n + 1))
-
-
-def classical_1234_formula(n: int) -> int:
-    """The closed form for ``|S_n(1234)|``; the integer division is exact.
-
-    >>> [classical_1234_formula(n) for n in range(1, 7)]
-    [1, 2, 6, 23, 103, 513]
-    """
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    total = sum(
-        comb(2 * j, j) * comb(n + 1, j + 1) * comb(n + 2, j + 1)
-        for j in range(n + 1)
-    )
-    q, r = divmod(total, (n + 1) ** 2 * (n + 2))
-    if r:
-        raise ArithmeticError(f"closed form for n={n} does not divide exactly")
-    return q
 
 
 def _count_row(n: int, pattern_values: tuple[int, ...], first: int) -> list[int]:

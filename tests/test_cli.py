@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import sigperm.checks
 import sigperm.cli
 import sigperm.core
+import sigperm.formulas
 import sigperm.gentree
 import sigperm.gf
 import sigperm.labeltable
@@ -108,6 +109,16 @@ class TestPayload:
         doc = {"x": [value]}
         assert dumps_payload(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    def test_quoting_falls_back_to_json_encoder_without_json_accelerator(self, monkeypatch):
+        import importlib.util
+
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util, "find_spec", lambda name: None if name == "_json" else find_spec(name)
+        )
+        doc = {ESCAPED: [ESCAPED, {"k": ESCAPED}]}
+        assert dumps_payload(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("value", [{1, 2}, b"bytes", {1: "int key"}])
     def test_unencodable_value_raises_type_error(self, value):
         with pytest.raises(TypeError):
@@ -157,6 +168,25 @@ class TestCount:
         assert doc["rows"] == [
             {"n": 6, "j": None, "pattern": "1234", "method": "formula", "count": "7281"}
         ]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_formula_total_past_the_digit_limit(self, capsys):
+        # the count at n = 700 has 663 digits; main lifts the limit while it
+        # runs and restores it after
+        expected = str(sigperm.formulas.egge_formula(700))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run(
+                capsys, "count", "--n", "700", "--pattern", "1234", "--method", "formula"
+            )
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert out.splitlines()[1].split()[-1] == expected
 
     def test_gf_single_cell(self, capsys):
         code, doc = run_json(

@@ -268,6 +268,24 @@ class TestDominancePruning:
                     if got is not None:
                         assert pin in got and tuple(got) in occurrences, (seq, text, pin)
 
+    def test_float_words_match_int_words(self):
+        # the thresholds start at an int sentinel, which must stay above and
+        # below every float value too, the largest finite ones included
+        words = [w.full_images() for w in signed_permutations(4)]
+        patterns = [
+            Pattern(values)
+            for k in range(1, 5)
+            for values in itertools.permutations(range(1, k + 1))
+        ]
+        for seq in words:
+            for pattern in patterns:
+                want = find_occurrence_positions(seq, pattern)
+                pinned = [find_occurrence_through(seq, pattern, pin) for pin in range(len(seq))]
+                for floats in ([v / 2 for v in seq], [v * 4e307 for v in seq]):
+                    assert find_occurrence_positions(floats, pattern) == want, (floats, pattern)
+                    got = [find_occurrence_through(floats, pattern, pin) for pin in range(len(seq))]
+                    assert got == pinned, (floats, pattern)
+
     @pytest.mark.parametrize(
         "text, word, first",
         [

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from sigperm import core, gentree, gf, labeltable, oracle
+from sigperm import core, formulas, gentree, gf, labeltable, oracle, pattern
 
 
 @pytest.mark.parametrize(
-    "module", [core, oracle, gentree, labeltable, gf], ids=lambda m: m.__name__
+    "module",
+    [pattern, core, formulas, oracle, gentree, labeltable, gf],
+    ids=lambda m: m.__name__,
 )
 def test_docstring_examples(module):
     result = doctest.testmod(module)

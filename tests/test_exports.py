@@ -12,8 +12,8 @@ import pytest
 
 import sigperm
 
-MODULES = ("core", "gentree", "labeltable", "gf", "oracle", "cli", "checks")
-ROUTES = ("core", "gentree", "labeltable", "gf", "oracle")
+ROUTES = ("pattern", "core", "gentree", "labeltable", "gf", "formulas", "oracle")
+MODULES = (*ROUTES, "cli", "checks")
 
 
 @pytest.mark.parametrize("module", ("sigperm", *(f"sigperm.{m}" for m in MODULES)))

@@ -9,6 +9,7 @@ from math import comb, factorial
 import pytest
 
 import sigperm.cli
+import sigperm.formulas
 import sigperm.oracle
 from sigperm.core import Pattern, find_occurrence_positions, signed_permutations
 from sigperm.oracle import (
@@ -52,7 +53,7 @@ class TestExactArithmetic:
 
     def test_inexact_division_raises(self, monkeypatch):
         # the exact-division checks must hold under python -O too
-        monkeypatch.setattr(sigperm.oracle, "comb", lambda a, b: 1)
+        monkeypatch.setattr(sigperm.formulas, "comb", lambda a, b: 1)
         with pytest.raises(ArithmeticError):
             catalan(2)
         with pytest.raises(ArithmeticError):

@@ -5,6 +5,7 @@ Each check runs in a fresh interpreter against the source tree, since the
 test process itself has long since imported everything.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -66,16 +67,20 @@ def test_serial_conjecture_starts_no_pool_machinery():
     assert result.stdout.splitlines() == ["0 False"]
 
 
-# what each command loads, among the route modules, verify's checks, csv and
-# the pool machinery: every command runs in its own fresh interpreter with
-# bytecode writing off, so each route module is compiled only if loaded
+# what each command loads, among the route modules, verify's checks, json,
+# csv and the pool machinery: every command runs in its own fresh
+# interpreter with bytecode writing off, so each module is compiled only if
+# loaded
 WATCHED = (
+    "sigperm.pattern",
     "sigperm.core",
     "sigperm.gentree",
     "sigperm.labeltable",
     "sigperm.gf",
+    "sigperm.formulas",
     "sigperm.oracle",
     "sigperm.checks",
+    "json",
     "csv",
     "concurrent.futures",
     "multiprocessing",
@@ -94,44 +99,56 @@ loaded = set(sys.modules) - before
 print(code, sorted(m for m in {WATCHED!r} if m in loaded))
 """
 
-CORE, GENTREE, TABLE, GF, ORACLE = (
-    f"sigperm.{m}" for m in ("core", "gentree", "labeltable", "gf", "oracle")
+PATTERN, CORE, GENTREE, TABLE, GF, FORMULAS, ORACLE = (
+    f"sigperm.{m}"
+    for m in ("pattern", "core", "gentree", "labeltable", "gf", "formulas", "oracle")
 )
+# the table and csv formats print the manifest as a note through json
+JSON = "json"
 HELP = [["--version"], ["--help"]] + [
     [command, "--help"] for command in ("count", "verify", "conjecture", "gf", "tree")
 ]
 COMMANDS = [
     *((argv, []) for argv in HELP),
-    (["count", "--n", "6", "--pattern", "1234", "--method", "formula"], [CORE, ORACLE]),
+    (
+        ["count", "--n", "6", "--pattern", "1234", "--method", "formula"],
+        [PATTERN, FORMULAS, JSON],
+    ),
     (
         ["count", "--n", "6", "--pattern", "1234", "--method", "formula", "--format", "csv"],
-        [CORE, ORACLE, "csv"],
+        [PATTERN, FORMULAS, JSON, "csv"],
     ),
-    (["count", "--n", "6", "--pattern", "2143", "--method", "gf"], [CORE, GF]),
+    (["count", "--n", "6", "--pattern", "2143", "--method", "gf"], [PATTERN, GF, JSON]),
     # a full tree row reads the label table; one cell runs the forward DP
-    (["count", "--n", "6", "--pattern", "2143", "--method", "tree"], [CORE, TABLE]),
-    (["count", "--n", "6", "--pattern", "2143", "--method", "tree", "--j", "3"], [CORE, GENTREE]),
-    (["tree", "--pattern", "2143", "--j", "1", "--depth", "2"], [CORE, GENTREE]),
-    (["gf", "--pattern", "2143", "--k", "2", "--q", "1", "--gamma", "3"], [CORE, GF]),
+    (["count", "--n", "6", "--pattern", "2143", "--method", "tree"], [PATTERN, TABLE, JSON]),
+    (
+        ["count", "--n", "6", "--pattern", "2143", "--method", "tree", "--j", "3"],
+        [PATTERN, CORE, GENTREE, JSON],
+    ),
+    (["tree", "--pattern", "2143", "--j", "1", "--depth", "2"], [PATTERN, CORE, GENTREE]),
+    (["gf", "--pattern", "2143", "--k", "2", "--q", "1", "--gamma", "3"], [PATTERN, GF, JSON]),
     # the path cross-check walks gentree's succession rules
     (
         ["gf", "--pattern", "2143", "--k", "0", "--q", "3", "--gamma", "1,2", "--degree", "6"],
-        [CORE, GENTREE, GF],
+        [PATTERN, CORE, GENTREE, GF, JSON],
     ),
-    (["count", "--n", "4", "--pattern", "2143", "--threads", "1"], [CORE, ORACLE]),
+    (
+        ["count", "--n", "4", "--pattern", "2143", "--threads", "1"],
+        [PATTERN, CORE, FORMULAS, ORACLE, JSON],
+    ),
     (
         ["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "4", "--threads", "1"],
-        [CORE, ORACLE],
+        [PATTERN, CORE, FORMULAS, ORACLE, JSON],
     ),
     (
         ["verify", "--max-n", "3", "--threads", "1"],
-        [CORE, TABLE, GF, ORACLE, "sigperm.checks"],
+        [PATTERN, CORE, TABLE, GF, FORMULAS, ORACLE, "sigperm.checks", JSON],
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, loads", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
-def test_each_command_loads_only_what_it_runs(argv, loads):
+def _run_one(argv):
+    """The exit code and the watched modules of one command."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run(
         [sys.executable, "-c", RUN_ONE, *argv],
@@ -141,4 +158,38 @@ def test_each_command_loads_only_what_it_runs(argv, loads):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [f"0 {sorted(loads)}"]
+    code, loaded = result.stdout.rstrip("\n").split(" ", 1)
+    return int(code), ast.literal_eval(loaded)
+
+
+@pytest.mark.parametrize("argv, loads", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+def test_each_command_loads_only_what_it_runs(argv, loads):
+    assert _run_one(argv) == (0, sorted(loads))
+
+
+# the routes past brute force read the pattern and Egge's sum from leaf
+# modules, so none of them compiles the containment kernel or the scan
+FAST_COUNTS = [
+    ["count", "--n", "6", "--pattern", "1234", "--method", method, "--format", fmt]
+    for method in ("tree", "gf", "formula")
+    for fmt in ("table", "csv", "json")
+]
+
+
+@pytest.mark.parametrize("argv", FAST_COUNTS, ids=" ".join)
+def test_fast_counts_load_no_kernel_and_no_scan(argv):
+    code, loaded = _run_one(argv)
+    assert code == 0
+    assert CORE not in loaded and ORACLE not in loaded
+    assert (JSON in loaded) == (argv[-1] != "json")
+
+
+# a JSON payload quotes its strings with _json's C function, not the json package
+JSON_COMMANDS = [argv for argv, _ in COMMANDS if argv not in HELP and "--format" not in argv]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_json_payloads_load_no_json_package(argv):
+    code, loaded = _run_one([*argv, "--format", "json"])
+    assert code == 0
+    assert JSON not in loaded
