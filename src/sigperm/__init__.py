@@ -62,9 +62,10 @@ __all__ = ["__version__", *(name for names in _EXPORTS.values() for name in name
 
 def __getattr__(name: str):
     if name in (*_EXPORTS, "checks", "cli"):
-        from importlib import import_module
-
-        return import_module(f"{__name__}.{name}")
+        # unlike importlib.import_module, __import__ reports to -X importtime;
+        # it binds the submodule in this namespace
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     for module, names in _EXPORTS.items():
         if name in names:
             return getattr(__getattr__(module), name)

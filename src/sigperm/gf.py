@@ -240,7 +240,8 @@ def avoider_count_from_series(max_n: int, pattern: Pattern) -> tuple[tuple[int, 
     if max_n > MAX_SERIES_N:
         raise ValueError(
             f"series triangle capped at size {MAX_SERIES_N}; "
-            "level_counts gives one statistic's column past the cap"
+            "`sigperm count --method tree --j J` (level_counts) gives one "
+            "statistic's column past the cap"
         )
     top = max_n + 2
     rows = [[0] * (n + 1) for n in range(max_n + 1)]

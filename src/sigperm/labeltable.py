@@ -111,7 +111,8 @@ def tree_rows(max_n: int, pattern: Pattern) -> tuple[tuple[int, ...], ...]:
     if max_n > MAX_TABLE_N:
         raise ValueError(
             f"tree triangle capped at size {MAX_TABLE_N}; "
-            "level_counts gives one statistic's column past the cap"
+            "`sigperm count --method tree --j J` (level_counts) gives one "
+            "statistic's column past the cap"
         )
     rows = [[0] * (n + 1) for n in range(max_n + 1)]
     for r, table in enumerate(_tables(max_n, is_2143)):

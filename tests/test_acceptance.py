@@ -1,8 +1,9 @@
 """Acceptance criteria: every counting route, identity, and fixture.
 
 Each test prints one ``criterion NN ... PASS`` line (visible with ``-s`` or
-``-rP``); a failure reads as the test failing.  The long n = 7 sweep is
-marked ``slow`` and excluded from the default run.
+``-rP``); a failure reads as the test failing.  The 12345/21354 sweep at
+n = 7 is marked ``slow``, like the suite's other checks past tier-1 sizes,
+and runs with ``pytest -m slow``.
 """
 
 import time
@@ -11,7 +12,7 @@ from collections import Counter
 import pytest
 
 from sigperm.core import Pattern
-from sigperm.gentree import children, level_counts, stats, successors, tree_root
+from sigperm.gentree import build_tree, level_counts, stats, successors
 from sigperm.gf import (
     SeriesCache,
     is_recorded,
@@ -131,26 +132,20 @@ def test_criterion_06_series_versus_paths():
 
 
 def test_criterion_07_succession_rule_isomorphism():
+    # labels read off build_tree; tests/test_gentree.py holds them to ``stats``
+    # and ``children``/``stats`` to the rule
     started = time.perf_counter()
     nodes = 0
     for pattern in BOTH:
         for j in range(3):
-            frontier = [tree_root(pattern, j)]
-            frontier_stats = [stats(w, pattern) for w in frontier]
+            level = [build_tree(pattern, j, 5)]
             for _depth in range(5):  # nodes at depth 0..4 get checked
-                next_frontier = []
-                next_stats = []
-                for w, label in zip(frontier, frontier_stats):
+                for node in level:
                     nodes += 1
-                    kids = children(w, pattern)
-                    kid_stats = [stats(c, pattern) for c in kids]
-                    assert Counter(kid_stats) == Counter(
-                        successors(label, pattern)
-                    ), (pattern, j, w)
-                    next_frontier.extend(kids)
-                    next_stats.extend(kid_stats)
-                frontier = next_frontier
-                frontier_stats = next_stats
+                    assert Counter(kid.label for kid in node.children) == Counter(
+                        successors(node.label, pattern)
+                    ), (pattern, j, node.perm)
+                level = [kid for node in level for kid in node.children]
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.1f}s"
     report(7, f"children match the rule on {nodes} nodes, {elapsed:.1f}s")

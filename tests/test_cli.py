@@ -27,6 +27,7 @@ import sigperm.labeltable
 import sigperm.oracle
 from sigperm.cli import dumps_payload, main
 from sigperm.gentree import TreeLabel
+from sigperm.pattern import Pattern
 
 
 def run(capsys, *argv):
@@ -38,6 +39,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv, "--format", "json")
     return code, json.loads(out)
+
+
+def masked(text, *keys):
+    """A JSON payload with the manifest's fields ``keys`` set to 0."""
+    for key in keys:
+        text = re.sub(rf'"{key}": (".*"|[-0-9.e]+)', f'"{key}": 0', text)
+    return text
 
 
 class InlinePool:
@@ -196,13 +204,27 @@ class TestCount:
         assert code == 0
         assert doc["rows"][0]["count"] == "1"
 
-    def test_methods_agree(self, capsys):
+    @pytest.mark.parametrize(
+        "n, pattern, brute",
+        [
+            pytest.param(4, "2143", (), id="4-2143"),
+            # every word of B_7 through the compiled kernel, scanned once in
+            # process, where a pooled count scans once per j
+            *(
+                pytest.param(7, p, ("--allow-long", "--threads", "1"), id=f"7-{p}",
+                             marks=pytest.mark.slow)
+                for p in ("2143", "1234")
+            ),
+        ],
+    )
+    def test_methods_agree(self, capsys, n, pattern, brute):
         rows = {}
-        for method in ("brute", "tree", "gf"):
-            _, doc = run_json(
+        for method, extra in (("brute", brute), ("tree", ()), ("gf", ())):
+            code, doc = run_json(
                 capsys,
-                "count", "--n", "4", "--pattern", "2143", "--method", method,
+                "count", "--n", str(n), "--pattern", pattern, "--method", method, *extra,
             )
+            assert code == 0
             rows[method] = [(r["j"], r["count"]) for r in doc["rows"]]
         assert rows["brute"] == rows["tree"] == rows["gf"]
 
@@ -416,7 +438,8 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"sigperm count: error: {triangle} triangle capped at size {n - 1}; "
-            "level_counts gives one statistic's column past the cap"
+            "`sigperm count --method tree --j J` (level_counts) gives one "
+            "statistic's column past the cap"
         ]
 
     @pytest.mark.parametrize("method", ["gf", "tree", "formula"])
@@ -853,20 +876,6 @@ class TestTree:
         for child in tree["children"]:
             assert child["children"] == []
 
-    def test_matches_level_counts(self, capsys):
-        code, doc = run_json(capsys, "tree", "--pattern", "1234", "--j", "0", "--depth", "3")
-        assert code == 0
-
-        def level_sizes(node):
-            sizes = [1]
-            frontier = [node]
-            while any(n["children"] for n in frontier):
-                frontier = [c for n in frontier for c in n["children"]]
-                sizes.append(len(frontier))
-            return sizes
-
-        assert level_sizes(doc["tree"]) == [1, 1, 2, 6]
-
     def test_labels_are_read_off_the_tree(self, capsys, monkeypatch):
         # the dump recomputes nothing per node
         def refuse(*args):
@@ -890,17 +899,21 @@ class TestTree:
         argv = ["tree", "--pattern", pattern, "--j", str(j), "--depth", str(depth)]
         code, out = run(capsys, *argv, "--format", "json")
         assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        # each level of the dump has the label DP's level size
+        level, sizes = [doc["tree"]], []
+        while level:
+            sizes.append(len(level))
+            level = [child for node in level for child in node["children"]]
+        assert sizes == sigperm.gentree.level_counts(Pattern.parse(pattern), j, depth)
         target = tmp_path / "tree.json"
         assert main([*argv, "--format", "json", "--output", str(target)]) == 0
         assert capsys.readouterr().out == ""
-
         # the manifest's wall time and command line differ by design
-        def masked(text):
-            text = re.sub(r'"wall_time_s": [-0-9.e]+', '"wall_time_s": 0', text)
-            return re.sub(r'"command": ".*"', '"command": ""', text)
-
-        assert masked(target.read_text(encoding="utf-8")) == masked(out)
+        assert masked(target.read_text(encoding="utf-8"), "wall_time_s", "command") == masked(
+            out, "wall_time_s", "command"
+        )
 
     def test_dump_holds_one_path_of_the_tree(self, tmp_path):
         # a 770 KiB dump; building it whole peaked near 2.8 MiB
@@ -970,3 +983,67 @@ class TestTree:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["sigperm tree: error: statistic must be nonnegative"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # n = 6 is the size the benchmark times
+        ("verify", "--max-n", "6"),
+        # both runs walk the same blocks, in this process or in the pool
+        ("conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "6"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_same_payload_with_and_without_a_pool(capsys, monkeypatch, argv):
+    # a real pool of two; the manifest's wall time, command line and worker
+    # count differ by design
+    monkeypatch.setattr(sigperm.oracle, "usable_cpus", lambda: 2)
+    codes, workers, payloads = [], [], []
+    for threads in (1, 2):
+        code, out = run(capsys, *argv, "--format", "json", "--threads", str(threads))
+        codes.append(code)
+        workers.append(json.loads(out)["manifest"]["workers"])
+        payloads.append(masked(out, "wall_time_s", "command", "workers"))
+    assert payloads[0] == payloads[1]
+    assert codes == [0, 0] and workers == [1, 2]
+
+
+# runs one command in a child of a fresh, small interpreter and prints the
+# child's exit code and peak RSS in kB: a child's ru_maxrss starts at its
+# spawner's high-water RSS, which for this test process is far above the bounds
+PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "sigperm.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.slow
+def test_peak_rss_of_fresh_runs():
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def peak_kb(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        code, peak = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        return peak
+
+    # 102 230 nodes and 29.5 MB of JSON, written as the tree grows; built
+    # whole before it was written, the dump peaked at 161 MB
+    cap_dump = ("tree", "--pattern", "2143", "--j", "3", "--depth", "5", "--format", "json")
+    assert peak_kb(*cap_dump) <= 64_000
+    # against the interpreter's floor, a formula count, so the bound holds on
+    # every Python; one memo for the whole series grid put verify 8.3 MB above
+    verify = peak_kb("verify", "--max-n", "6", "--threads", "1")
+    floor = peak_kb("count", "--method", "formula", "--n", "14", "--pattern", "1234")
+    assert verify - floor < 4_000

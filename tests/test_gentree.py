@@ -621,6 +621,7 @@ class TestLabelTable:
 
 
 @pytest.mark.slow
-def test_tree_triangle_at_sixty_equals_the_series_triangle():
+def test_tree_triangle_at_eighty_equals_the_series_triangle():
+    # the label table against the independent series triangle, cell by cell
     for pattern in BOTH:
-        assert tree_rows(60, pattern) == avoider_count_from_series(60, pattern)
+        assert tree_rows(80, pattern) == avoider_count_from_series(80, pattern)

@@ -193,3 +193,20 @@ def test_json_payloads_load_no_json_package(argv):
     code, loaded = _run_one([*argv, "--format", "json"])
     assert code == 0
     assert JSON not in loaded
+
+
+def test_importtime_lists_the_route_module():
+    # the package's __getattr__ loads each route module through the import
+    # statement, which -X importtime reports
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["count", "--method", "tree", "--n", "14", "--pattern", "2143"]
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sigperm.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    listed = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    assert "sigperm.labeltable" in listed
