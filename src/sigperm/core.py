@@ -129,9 +129,10 @@ def _nested_loops(pattern: Pattern, t: int) -> list[str]:
 INF = 1 << 1100
 
 
-def _compile(name: str, lines: list[str]) -> Callable:
-    """Define the function ``name`` from generated source lines."""
-    namespace: dict = {"INF": INF}
+def _compile(name: str, lines: list[str], **names: Callable) -> Callable:
+    """Define the function ``name`` from generated source lines, which may
+    call the functions ``names``."""
+    namespace: dict = {"INF": INF, **names}
     exec(compile("\n".join(lines), f"<sigperm {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -175,25 +176,20 @@ def find_occurrence_positions(
     return search(seq)
 
 
-def _compiled_through(pattern: Pattern) -> Callable:
-    """``through(seq, pin)``: the search of :func:`find_occurrence_through`.
+def _pinned_loops(pattern: Pattern) -> list[str]:
+    """Source lines of the search for an occurrence of ``pattern`` in
+    ``seq`` that uses position ``pin``, indented one level.
 
-    The quadrant counts around ``pin`` come first.  Then, per pattern index
-    ``t``, a test that each quadrant holds the entries the pattern needs
-    there guards the nested loops with ``t`` matched to ``pin``; the other
-    indices follow left to right, confined to their side of ``pin``.
+    They read ``seq``, its length ``n``, ``pin``, ``pv = seq[pin]`` and the
+    quadrant counts around ``pin``: ``lb`` and ``la`` entries left of it
+    below and above ``pv``, ``rb`` and ``ra`` right of it.  Per pattern
+    index ``t``, a test that each quadrant holds the entries the pattern
+    needs there guards the nested loops with ``t`` matched to ``pin``; the
+    other indices follow left to right, confined to their side of ``pin``.
+    A match returns its positions.  Both pinned kernels run these lines.
     """
     pat = pattern.values
-    lines = [
-        "def through(seq, pin):",
-        "    n = len(seq)",
-        "    pv = seq[pin]",
-        "    below = pv.__gt__",  # v < pv, counted without a Python-level loop
-        "    lb = sum(map(below, seq[:pin]))",
-        "    rb = sum(map(below, seq[pin + 1:]))",
-        "    la = pin - lb",
-        "    ra = n - 1 - pin - rb",
-    ]
+    lines = []
     for t, pt in enumerate(pat):
         quadrants = {
             "lb": sum(1 for v in pat[:t] if v < pt),
@@ -208,7 +204,27 @@ def _compiled_through(pattern: Pattern) -> Callable:
             pad += "    "
         body = [f"p{t} = pin", f"v{t} = pv", *_nested_loops(pattern, t)]
         lines += [pad + line for line in body]
-    return _compile("through", [*lines, "    return None"])
+    return lines
+
+
+def _compiled_through(pattern: Pattern) -> Callable:
+    """``through(seq, pin)``: the search of :func:`find_occurrence_through`,
+    the quadrant counts around ``pin`` first, then :func:`_pinned_loops`."""
+    return _compile(
+        "through",
+        [
+            "def through(seq, pin):",
+            "    n = len(seq)",
+            "    pv = seq[pin]",
+            "    below = pv.__gt__",  # v < pv, counted without a Python-level loop
+            "    lb = sum(map(below, seq[:pin]))",
+            "    rb = sum(map(below, seq[pin + 1:]))",
+            "    la = pin - lb",
+            "    ra = n - 1 - pin - rb",
+            *_pinned_loops(pattern),
+            "    return None",
+        ],
+    )
 
 
 _THROUGHS: dict[tuple[int, ...], Callable] = {}
@@ -225,9 +241,11 @@ def find_occurrence_through(
     later index and the positions of each side are confined to their side
     of ``pin``.  An index ``t`` is skipped when one of the four quadrants
     around ``pin`` holds fewer entries of ``seq`` than the pattern needs
-    there.  This is the check for a word grown by one point from a word that
-    avoided ``pattern``: any new occurrence uses the new point.  Returns the
-    increasing positions, or ``None``.
+    there.  Any new occurrence in a word grown by one point from a word
+    that avoided ``pattern`` uses the new point, so this decides such a
+    word.  No hot path calls it: the tree and the avoider walk try all the
+    cuts of a new pair in one :func:`avoiding_insertions` call, which runs
+    the same loops.  Returns the increasing positions, or ``None``.
     """
     n_seq = len(seq)
     if not 0 <= pin < n_seq:
@@ -236,6 +254,72 @@ def find_occurrence_through(
     if through is None:
         through = _THROUGHS[pattern.values] = _compiled_through(pattern)
     return through(seq, pin)
+
+
+def _compiled_insertions(pattern: Pattern) -> Callable:
+    """``insertions(base, v)``: the sweep of :func:`avoiding_insertions`,
+    which hands each cut's quadrant counts to ``occurs``, the loops of
+    :func:`_pinned_loops`.  The entry that ``v`` passes moves to its left,
+    so ``lb`` grows by one comparison; the other counts follow from
+    ``total``, the entries below ``v``."""
+    # two compiles, each no larger than the single-pin kernel's: compiled as
+    # one unit, the two peaked 40 kB above it (tracemalloc, 12345), enough
+    # to raise a short command's peak RSS
+    occurs = _compile(
+        "occurs",
+        ["def occurs(seq, n, pin, pv, lb, la, rb, ra):", *_pinned_loops(pattern), "    return None"],
+    )
+    return _compile(
+        "insertions",
+        [
+            "def insertions(base, v):",
+            "    seq = [v, *base, -v]",
+            "    n = len(seq)",
+            "    nv = -v",
+            "    total = sum(map(v.__gt__, seq))",
+            "    lb = 0",
+            "    accepted = []",
+            "    for cut in range(n // 2):",
+            "        if cut:",
+            "            seq[cut - 1], seq[cut] = seq[cut], v",
+            "            seq[n - cut], seq[n - 1 - cut] = seq[n - 1 - cut], nv",
+            "            lb += seq[cut - 1] < v",
+            "        rb = total - lb",
+            "        if occurs(seq, n, cut, v, lb, cut - lb, rb, n - 1 - cut - rb) is None:",
+            "            accepted.append((cut, tuple(seq)))",
+            "    return accepted",
+        ],
+        occurs=occurs,
+    )
+
+
+_INSERTIONS: dict[tuple[int, ...], Callable] = {}
+
+
+def avoiding_insertions(
+    base: Sequence[int], v: int, pattern: Pattern
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every cut of the pair ``±v`` into ``base`` that adds no occurrence of
+    ``pattern`` through ``v``.
+
+    For ``cut = 0..len(base) // 2`` the child is ``base[:cut] + (v,) +
+    base[cut : L - cut] + (-v,) + base[L - cut :]`` with ``L = len(base)``;
+    returns the ``(cut, child)`` pairs, by increasing cut, whose child has
+    no occurrence of ``pattern`` through index ``cut``.  One list holds the
+    child, from ``[v, *base, -v]`` at cut 0: two swaps move the pair to the
+    next cut, the quadrant counts around ``v`` follow from one comparison,
+    and each cut runs the loops of :func:`find_occurrence_through` on them.
+    Only accepted children become tuples, built from that list, so each has
+    its exact size: a tuple grown from a generator would be resized, and
+    CPython's tuple free lists then keep thousands of those resized tuples
+    alive, enough to raise a tree dump's peak memory.  Compiled once per
+    pattern (and per process).  ``base`` and ``v`` follow the value rules of
+    :func:`find_occurrence_positions`, with ``±v`` not in ``base``.
+    """
+    insertions = _INSERTIONS.get(pattern.values)
+    if insertions is None:
+        insertions = _INSERTIONS[pattern.values] = _compiled_insertions(pattern)
+    return insertions(base, v)
 
 
 def standardize(values: Sequence[int]) -> tuple[int, ...]:

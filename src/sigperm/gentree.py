@@ -16,10 +16,11 @@ Three statistics label each node:
 
 One pass of trial insertions per node gives both its label and its
 children; :func:`children`, :func:`stats` and :func:`grow_tree` all run
-that pass, and :func:`active_sites` answers for a single gap.  A trial works
-on the node's full image sequence, shifted once per gap to make room for
-``±gap``: each site splices ``gap`` and ``-gap`` in at mirror indices, and
-the child is searched for the pattern only through ``gap``.
+that pass, and :func:`active_sites` answers for a single gap.  The trials
+work on the node's full image sequence, shifted once per gap to make room
+for ``±gap``; one :func:`~sigperm.core.avoiding_insertions` sweep then puts
+``gap`` and ``-gap`` at the mirror indices of every site and searches each
+child for the pattern only through ``gap``.
 
 The label of a node determines the multiset of its children's labels.
 :func:`successors` lists each succession rule child by child.  The label
@@ -40,7 +41,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
-from .core import SignedPermutation, find_occurrence_positions, find_occurrence_through
+from .core import SignedPermutation, avoiding_insertions, find_occurrence_positions
 
 # the tree patterns live in a leaf module, which the label table and the
 # series route share without loading this module or the kernel; they are
@@ -77,9 +78,10 @@ class TreeLabel(NamedTuple):
 
 # The explicit tree is for desk-scale inspection only; the label dynamic
 # program (level_counts) has no cap.  `sigperm tree --j 3 --depth 5 --format
-# json` grows 102 230 nodes and streams 29.5 MB of JSON: 8-10 s for 2143 and
-# 7-10 s for 1234, at 16.1-16.3 MB peak RSS for either (2 vCPUs, Python
-# 3.11).  The dump holds one path of the tree, so the caps bound its time.
+# json` grows 102 230 nodes and streams 29.5 MB of JSON: 3.9-4.4 s for 2143
+# and 4.1-5.0 s for 1234, at 16.1-16.2 MB peak RSS for either (2 vCPUs,
+# Python 3.11).  The dump holds one path of the tree, so the caps bound its
+# time.
 MAX_TREE_NODES = 150_000
 MAX_TREE_J = 4
 
@@ -114,26 +116,17 @@ def _accepted(
     This is :meth:`SignedPermutation.insert` plus an avoidance check, on raw
     image sequences: trees try (sites x gaps) candidates per node and most
     are thrown away.  The entries of ``w`` with ``|v| >= gap`` move one step
-    away from zero once per gap; each site then splices ``gap`` in at
-    ``cut = n + 1 - site`` and ``-gap`` at the mirror index.  A new
-    occurrence must use ``gap`` or ``-gap``, and reflecting through the
-    origin maps one through ``-gap`` onto one through ``gap``, because both
-    tree patterns are their own reverse complement; so only occurrences
-    through ``gap`` are searched.
+    away from zero once per gap; one :func:`~sigperm.core.avoiding_insertions`
+    sweep then tries ``gap`` at every ``cut = n + 1 - site`` of the negative
+    half and ``-gap`` at the mirror index.  A new occurrence must use
+    ``gap`` or ``-gap``, and reflecting through the origin maps one through
+    ``-gap`` onto one through ``gap``, because both tree patterns are their
+    own reverse complement; so the sweep's check through ``gap`` decides.
     """
     n = w.n
-    # a tuple built from a list has its exact size; tuple() of a generator
-    # resizes its result, and CPython's tuple free lists then keep thousands
-    # of those resized tuples alive, enough to raise a tree dump's peak memory
-    full = tuple([v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in w.full_images()])
-    accepted = []
-    for site in range(1, n + 2):
-        cut = n + 1 - site
-        left, middle, right = full[:cut], full[cut : 2 * n - cut], full[2 * n - cut :]
-        child = left + (gap,) + middle + (-gap,) + right
-        if find_occurrence_through(child, pattern, cut) is None:
-            accepted.append((site, child[: n + 1]))
-    return accepted
+    full = [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in w.full_images()]
+    sweep = avoiding_insertions(full, gap, pattern)
+    return [(n + 1 - cut, child[: n + 1]) for cut, child in reversed(sweep)]
 
 
 def _label_gap(w: SignedPermutation, is_2143: bool) -> int:

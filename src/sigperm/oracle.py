@@ -14,8 +14,8 @@ absolute values steps through the sign vectors in reflected binary Gray
 order, so consecutive words differ in one sign and its mirror, changed in
 place in one list.
 :func:`avoider_rows` grows the avoiders depth-first and checks each new word
-only through its new entries with the pinned kernel,
-``core.find_occurrence_through``; ``gentree`` grows its trees with that same
+only through its new entries: one ``core.avoiding_insertions`` sweep tries
+every cut of the new pair.  ``gentree`` grows its trees with that same
 kernel, so ``verify`` keeps the whole-word scan as its independent check of
 the tree route.
 
@@ -35,8 +35,8 @@ from typing import Callable, Iterator, Sequence
 from .core import (
     Pattern,
     _negative_halves,
+    avoiding_insertions,
     find_occurrence_positions,
-    find_occurrence_through,
 )
 from .formulas import catalan, classical_1234_formula, egge_formula
 
@@ -206,7 +206,7 @@ def scan_rows(
 
 
 def _avoiding_children(
-    full: tuple[int, ...], j: int, pattern: Pattern, mirror: bool
+    full: tuple[int, ...], j: int, pattern: Pattern, mirror: Pattern | None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """The children of an avoider that still avoid ``pattern``, with their
     statistic.
@@ -214,22 +214,29 @@ def _avoiding_children(
     ``full`` is the avoider's image sequence, of size ``m``.  A child puts
     ``v = m + 1`` or ``-(m + 1)`` at index ``cut`` of the negative half and
     ``-v`` at the mirror index ``2m + 1 - cut``; every occurrence in it uses
-    one of the two, since ``full`` avoids ``pattern``.  An occurrence through
-    ``-v`` reflects to one of the reverse complement through ``v``, so with
-    ``mirror`` unset (``pattern`` is its own reverse complement) the check
-    through ``v`` alone decides.
+    one of the two, since ``full`` avoids ``pattern``.  One
+    :func:`~sigperm.core.avoiding_insertions` sweep per sign keeps the
+    cuts with no occurrence through ``v``.  An occurrence through ``-v``
+    reflects to one of the reverse complement through ``v``, so for a
+    pattern that is not its own reverse complement, ``mirror`` holds that
+    reverse complement and a second sweep keeps only the cuts it accepts
+    too; with ``mirror`` ``None`` the first sweep decides.
     """
-    m = len(full) // 2
-    n = m + 1
-    for cut in range(n):
-        left, middle, right = full[:cut], full[cut : 2 * m - cut], full[2 * m - cut :]
-        for v, child_j in ((n, j), (-n, j + 1)):
-            child = left + (v,) + middle + (-v,) + right
-            if find_occurrence_through(child, pattern, cut) is None and (
-                not mirror
-                or find_occurrence_through(child, pattern, 2 * n - 1 - cut) is None
-            ):
-                yield child, child_j
+    n = len(full) // 2 + 1
+    for v, child_j in ((n, j), (-n, j + 1)):
+        accepted = avoiding_insertions(full, v, pattern)
+        if mirror is not None:
+            cuts = {cut for cut, _ in avoiding_insertions(full, v, mirror)}
+            accepted = [(cut, child) for cut, child in accepted if cut in cuts]
+        for _, child in accepted:
+            yield child, child_j
+
+
+def _mirror(pattern: Pattern) -> Pattern | None:
+    """The reverse complement of ``pattern``, or ``None`` when that is
+    ``pattern`` itself: the ``mirror`` of :func:`_avoiding_children`."""
+    mirror = pattern.reverse_complement()
+    return None if mirror == pattern else mirror
 
 
 def _subtree_rows(
@@ -239,7 +246,7 @@ def _subtree_rows(
     ``seed = (full image sequence, statistic)``, walked depth-first; the
     rows up to the seed's own size are zero."""
     pattern = Pattern(pattern_values)
-    mirror = pattern.reverse_complement() != pattern
+    mirror = _mirror(pattern)
     rows = [[0] * (n + 1) for n in range(max_n + 1)]
 
     def visit(full: tuple[int, ...], j: int) -> None:
@@ -265,18 +272,19 @@ def avoider_rows(
     size ``n`` leaves an avoider of size ``n - 1``.  So one depth-first walk
     from the empty word reaches every avoider, each once, and checks each
     child only through its new entries (``2n`` children per avoider of size
-    ``n - 1``, one or two pinned checks each).  The walk runs breadth-first
-    down to the seed size ``max_n // 2``, and the subtree below each avoider
-    of that size is one ``_run_blocks`` block; the blocks' rows are summed,
-    so the result does not depend on ``workers``.  Raises ``ValueError`` for
-    ``max_n < 0``.
+    ``n - 1``, in one :func:`~sigperm.core.avoiding_insertions` sweep per
+    sign, or two for a pattern that is not its own reverse complement).
+    The walk runs breadth-first down to the seed size ``max_n // 2``, and
+    the subtree below each avoider of that size is one ``_run_blocks``
+    block; the blocks' rows are summed, so the result does not depend on
+    ``workers``.  Raises ``ValueError`` for ``max_n < 0``.
 
     >>> avoider_rows(3, Pattern.parse("2143"))
     ((1,), (1, 1), (2, 4, 1), (6, 17, 9, 1))
     """
     if max_n < 0:
         raise ValueError("size must be nonnegative")
-    mirror = pattern.reverse_complement() != pattern
+    mirror = _mirror(pattern)
     rows = [[0] * (n + 1) for n in range(max_n + 1)]
     rows[0][0] = 1
     seeds = [((), 0)]

@@ -2,8 +2,8 @@
 
 Each test prints one ``criterion NN ... PASS`` line (visible with ``-s`` or
 ``-rP``); a failure reads as the test failing.  The 12345/21354 sweep at
-n = 7 is marked ``slow``, like the suite's other checks past tier-1 sizes,
-and runs with ``pytest -m slow``.
+n = 7, held against the avoider walk too, is marked ``slow``, like the
+suite's other checks past tier-1 sizes, and runs with ``pytest -m slow``.
 """
 
 import time
@@ -23,6 +23,7 @@ from sigperm.gf import (
 )
 from sigperm.oracle import (
     avoider_counts,
+    avoider_rows,
     catalan,
     classical_1234_formula,
     classical_avoiders,
@@ -191,9 +192,13 @@ def test_criterion_10_bench_n7():
     p12345 = Pattern.parse("12345")
     p21354 = Pattern.parse("21354")
     started = time.perf_counter()
-    for n in (6, 7):
-        assert avoider_counts(n, p12345) == avoider_counts(n, p21354), n
-    report(10, f"n <= 7 sweep equal, {time.perf_counter() - started:.0f}s")
+    scans = {}
+    for pattern in (p12345, p21354):
+        scans[pattern] = [avoider_counts(n, pattern) for n in (6, 7)]
+        # the avoider walk, conjecture's route, gives the scan's rows
+        assert list(avoider_rows(7, pattern)[6:]) == scans[pattern], pattern
+    assert scans[p12345] == scans[p21354]
+    report(10, f"n <= 7 sweep and walk equal, {time.perf_counter() - started:.0f}s")
 
 
 def test_criterion_11_statistics_fixtures():

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, manifests, determinism."""
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -1010,22 +1011,31 @@ def test_same_payload_with_and_without_a_pool(capsys, monkeypatch, argv):
     assert codes == [0, 0] and workers == [1, 2]
 
 
-# runs one command in a child of a fresh, small interpreter and prints the
-# child's exit code and peak RSS in kB: a child's ru_maxrss starts at its
-# spawner's high-water RSS, which for this test process is far above the bounds
+# runs one command in a child of a fresh, small interpreter, passes the
+# child's standard output through and prints the child's exit code and peak
+# RSS in kB to standard error: a child's ru_maxrss starts at its spawner's
+# high-water RSS, which for this test process is far above the bounds
 PEAK_RSS = """
 import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-m", "sigperm.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+child = subprocess.Popen([sys.executable, "-m", "sigperm.cli", *sys.argv[1:]])
 _, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 """
+
+# sha256 of each cap-size dump's "tree" object, re-encoded with
+# json.dumps(tree, sort_keys=True)
+CAP_DUMP_TREES = {
+    "2143": "c43076087508d6ae615ee3902779e5e6e4b3eb80b152918165bd4114807391c1",
+    "1234": "393964b7628270a98654a16d02dea222a336e3ae36e7a11752a6c0876b82a497",
+}
 
 
 @pytest.mark.slow
 def test_peak_rss_of_fresh_runs():
     src = Path(__file__).resolve().parent.parent / "src"
 
-    def peak_kb(*argv):
+    def run_fresh(*argv):
+        """The command's standard output and the peak RSS of its process."""
         result = subprocess.run(
             [sys.executable, "-c", PEAK_RSS, *argv],
             env=dict(os.environ, PYTHONPATH=str(src)),
@@ -1034,16 +1044,23 @@ def test_peak_rss_of_fresh_runs():
             timeout=600,
         )
         assert result.returncode == 0, result.stderr
-        code, peak = map(int, result.stdout.split())
+        *_, last = result.stderr.splitlines()
+        code, peak = map(int, last.split())
         assert code == 0, result.stderr
-        return peak
+        return result.stdout, peak
 
-    # 102 230 nodes and 29.5 MB of JSON, written as the tree grows; built
-    # whole before it was written, the dump peaked at 161 MB
-    cap_dump = ("tree", "--pattern", "2143", "--j", "3", "--depth", "5", "--format", "json")
-    assert peak_kb(*cap_dump) <= 64_000
-    # against the interpreter's floor, a formula count, so the bound holds on
-    # every Python; one memo for the whole series grid put verify 8.3 MB above
-    verify = peak_kb("verify", "--max-n", "6", "--threads", "1")
-    floor = peak_kb("count", "--method", "formula", "--n", "14", "--pattern", "1234")
+    # bounds against the interpreter's floor, a formula count, so they hold
+    # on every Python
+    _, floor = run_fresh("count", "--method", "formula", "--n", "14", "--pattern", "1234")
+    # 102 230 nodes and 29.5 MB of JSON, written as the tree grows, peak under
+    # 1 MB above the floor; holding the tree as dicts put the dump 47 MB
+    # above it, and building the whole text too 150 MB
+    for pattern, digest in CAP_DUMP_TREES.items():
+        cap_dump = ("tree", "--pattern", pattern, "--j", "3", "--depth", "5", "--format", "json")
+        out, peak = run_fresh(*cap_dump)
+        assert peak - floor < 8_000, pattern
+        tree = json.dumps(json.loads(out)["tree"], sort_keys=True)
+        assert hashlib.sha256(tree.encode()).hexdigest() == digest, pattern
+    # one memo for the whole series grid put verify 8.3 MB above the floor
+    _, verify = run_fresh("verify", "--max-n", "6", "--threads", "1")
     assert verify - floor < 4_000

@@ -10,6 +10,7 @@ from sigperm.core import (
     MAX_PATTERN_LENGTH,
     Pattern,
     SignedPermutation,
+    avoiding_insertions,
     find_occurrence_positions,
     find_occurrence_through,
     parse,
@@ -237,6 +238,96 @@ class TestPinnedKernel:
     def test_pin_out_of_range(self):
         with pytest.raises(IndexError):
             find_occurrence_through([1, 2], P1234, 2)
+
+
+def _spliced(base, v):
+    """``(cut, child)`` for every cut of the pair ``±v`` into ``base``, each
+    child spliced afresh."""
+    base, L = tuple(base), len(base)
+    return [
+        (cut, base[:cut] + (v,) + base[cut : L - cut] + (-v,) + base[L - cut :])
+        for cut in range(L // 2 + 1)
+    ]
+
+
+def _per_cut(base, v, pattern):
+    """Reference for ``avoiding_insertions``: each spliced child checked
+    through ``v`` with the single-pin kernel."""
+    return [
+        (cut, child)
+        for cut, child in _spliced(base, v)
+        if find_occurrence_through(child, pattern, cut) is None
+    ]
+
+
+def _shifted(seq, gap):
+    """``seq`` with the entries of absolute value >= ``gap`` moved one step
+    away from zero, as the tree makes room for ``±gap``."""
+    return [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in seq]
+
+
+class TestAvoidingInsertions:
+    """The sweep of every cut against the per-cut pinned kernel."""
+
+    def test_tree_bases_every_gap(self):
+        words = [w for n in range(5) for w in signed_permutations(n)]
+        for text in PINNED_PATTERNS:
+            pattern = Pattern.parse(text)
+            for w in words:
+                for gap in range(1, w.n + 2):
+                    base = _shifted(w.full_images(), gap)
+                    got = avoiding_insertions(base, gap, pattern)
+                    assert got == _per_cut(base, gap, pattern), (w, gap, text)
+
+    def test_avoider_bases_match_whole_word_scan(self):
+        # an avoider's child holds an occurrence only through v or -v, and one
+        # through -v reflects to one of the reverse complement through v, so
+        # the two sweeps together keep exactly the children that avoid
+        for text in PINNED_PATTERNS:
+            pattern = Pattern.parse(text)
+            mirror = pattern.reverse_complement()
+            for n in range(5):
+                for w in signed_permutations(n):
+                    base = w.full_images()
+                    if find_occurrence_positions(base, pattern) is not None:
+                        continue
+                    for v in (n + 1, -(n + 1)):
+                        got = avoiding_insertions(base, v, pattern)
+                        assert got == _per_cut(base, v, pattern), (w, v, text)
+                        cuts = {cut for cut, _ in avoiding_insertions(base, v, mirror)}
+                        kept = [child for cut, child in got if cut in cuts]
+                        whole = [
+                            child
+                            for _, child in _spliced(base, v)
+                            if find_occurrence_positions(child, pattern) is None
+                        ]
+                        assert kept == whole, (w, v, text)
+
+    def test_float_bases_match_int_bases(self):
+        # the same sweep on values scaled down and up to the largest floats
+        words = [w.full_images() for n in range(5) for w in signed_permutations(n)]
+        for text in PINNED_PATTERNS:
+            pattern = Pattern.parse(text)
+            for seq in words:
+                for v in (len(seq) // 2 + 1, -(len(seq) // 2 + 1)):
+                    want = avoiding_insertions(seq, v, pattern)
+                    for scale in (0.5, 4e307):
+                        floats = [x * scale for x in seq]
+                        scaled = [(cut, tuple(x * scale for x in child)) for cut, child in want]
+                        got = avoiding_insertions(floats, v * scale, pattern)
+                        assert got == scaled, (floats, text)
+
+    @given(
+        st.lists(st.integers(-30, 30), max_size=12, unique=True),
+        st.integers(1, 30),
+        st.booleans(),
+        st.sampled_from(PINNED_PATTERNS),
+    )
+    def test_matches_per_cut_random(self, base, v, negative, text):
+        base = [x for x in base if abs(x) != v]
+        v = -v if negative else v
+        pattern = Pattern.parse(text)
+        assert avoiding_insertions(base, v, pattern) == _per_cut(base, v, pattern)
 
 
 # the tree patterns and four more; between them, their whole-word and pinned
