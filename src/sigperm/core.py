@@ -362,6 +362,16 @@ class SignedPermutation(_Frozen):
         object.__setattr__(self, "neg_images", neg_images)
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def _unchecked(cls, neg_images: tuple[int, ...]) -> "SignedPermutation":
+        """The element with negative half ``neg_images``, a tuple already
+        known to be one: built without the constructor's checks, for words
+        made by a checked insertion."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "neg_images", neg_images)
+        object.__setattr__(w, "n", len(neg_images))
+        return w
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.neg_images == other.neg_images

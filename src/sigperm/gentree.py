@@ -180,7 +180,7 @@ def _expand(
         if gap == label_gap:
             y = len(accepted)
         if grow:
-            kids += (SignedPermutation(word) for _, word in accepted)
+            kids += (SignedPermutation._unchecked(word) for _, word in accepted)
     return TreeLabel(_sites_before_first_turn(w, is_2143), y, _layer_number(w)), kids
 
 

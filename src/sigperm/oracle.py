@@ -20,8 +20,8 @@ kernel, so ``verify`` keeps the whole-word scan as its independent check of
 the tree route.
 
 Each route cuts its work into blocks, and ``_run_blocks`` alone decides
-where they run: in one process pool when ``workers > 1`` and there are two
-blocks or more, else in this process.
+where they run: in one pool of forked child processes (``_ForkPool``) when
+``workers > 1`` and there are two blocks or more, else in this process.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ __all__ = [
     "classical_avoiders",
     "usable_cpus",
 ]
-
-
-# concurrent.futures.ProcessPoolExecutor, bound by the first pool started: the
-# pool machinery (multiprocessing, logging, socket) costs start-up time that no
-# serial command needs.  Tests and perfbench's tracer may bind a stand-in first.
-ProcessPoolExecutor = None
 
 
 def usable_cpus() -> int:
@@ -117,17 +111,165 @@ def _avoider_row(n: int, pattern_values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(sum, zip(*blocks))) if n else (1,)
 
 
+class _ForkPool:
+    """A pool of forked child processes that runs blocks in any order and
+    yields their results in block order: ``_run_blocks``' pool wherever the
+    platform has ``os.fork``.
+
+    ``map`` forks ``max_workers`` children, which inherit ``fn`` and the
+    blocks, so nothing is pickled on the way in.  The blocks are cut into
+    at most ``select.PIPE_BUF // 4`` chunks of consecutive blocks (one block
+    each below that many blocks), and the index of each chunk's first
+    block, 4 bytes, is written to one shared pipe before the first fork:
+    that much fits in an empty pipe, so the write never blocks.  Each child
+    reads the next index until the pipe is empty, so the chunks go to
+    whichever child is free.  A child sends each block's result, or the
+    exception it raised, pickled behind an 8-byte length down a pipe of its
+    own, and leaves by ``os._exit``.  The parent reads those pipes under
+    ``select`` and raises a block's exception where its result would be,
+    and a ``RuntimeError`` when a child exits before its blocks are done.
+
+    ``shutdown(cancel_futures=True)``, and leaving the ``with`` block by an
+    exception, kill the children; leaving it either way reaps them all.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self._max_workers = max_workers
+        # read end of each live child's pipe -> (pid, bytes read but not yet unpickled)
+        self._children: dict[int, tuple[int, bytearray]] = {}
+
+    def __enter__(self) -> "_ForkPool":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> bool:
+        self.shutdown(cancel_futures=exc_type is not None)
+        return False
+
+    def map(self, fn, *iterables) -> Iterator:
+        # loaded by the parent before the first fork, so no child imports them
+        import pickle  # noqa: F401
+        import select
+
+        blocks = list(zip(*iterables))
+        chunk = max(1, -(-len(blocks) // (select.PIPE_BUF // 4)))
+        tasks, feed = os.pipe()
+        try:
+            os.write(feed, b"".join(k.to_bytes(4, "little") for k in range(0, len(blocks), chunk)))
+            os.close(feed)
+            for _ in range(self._max_workers):
+                reader, writer = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        os.close(reader)
+                        for sibling in self._children:
+                            os.close(sibling)
+                        _serve(fn, blocks, chunk, tasks, writer)  # never returns
+                finally:
+                    os.close(writer)
+                self._children[reader] = pid, bytearray()
+        finally:
+            os.close(tasks)
+        return self._results(len(blocks))
+
+    def _results(self, count: int) -> Iterator:
+        import select
+
+        done: dict[int, tuple[bool, object]] = {}
+        for i in range(count):
+            while i not in done:
+                if not self._children:
+                    raise RuntimeError(f"no pool worker is left to run block {i}")
+                ready, _, _ = select.select(list(self._children), [], [])
+                for reader in ready:
+                    self._receive(reader, done)
+            ok, value = done.pop(i)
+            if not ok:
+                raise value
+            yield value
+
+    def _receive(self, reader: int, done: dict[int, tuple[bool, object]]) -> None:
+        """Read what one child sent; at its end of file, reap it."""
+        import pickle
+
+        pid, buffer = self._children[reader]
+        data = os.read(reader, 1 << 16)
+        if not data:
+            del self._children[reader]
+            os.close(reader)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise RuntimeError(f"a pool worker exited with code {code}")
+            return
+        buffer += data
+        # fewer than 8 bytes read as a length still exceed what is buffered
+        while len(buffer) >= 8 + (size := int.from_bytes(buffer[:8], "little")):
+            i, ok, value = pickle.loads(buffer[8 : 8 + size])
+            del buffer[: 8 + size]
+            done[i] = ok, value
+
+    def shutdown(self, *, cancel_futures: bool = False) -> None:
+        """Close the pipes and reap every child, killing each first with
+        ``cancel_futures``."""
+        while self._children:
+            reader, (pid, _) = self._children.popitem()
+            os.close(reader)
+            if cancel_futures:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, blocks: list[tuple], chunk: int, tasks: int, out: int) -> None:
+    """A forked child's whole life: run the chunks read from ``tasks`` and
+    send each block's ``(index, ok, result or exception)`` down ``out``.
+    An exception that cannot be pickled is sent as a ``RuntimeError`` with
+    its repr.  Leaves by ``os._exit``, so the parent's stdio buffers are
+    never flushed here and its exit hooks never run."""
+    import pickle
+
+    code = 1
+    try:
+        while record := os.read(tasks, 4):
+            start = int.from_bytes(record, "little")
+            for i in range(start, min(start + chunk, len(blocks))):
+                try:
+                    data = pickle.dumps((i, True, fn(*blocks[i])))
+                except BaseException as exc:
+                    try:
+                        data = pickle.dumps((i, False, exc))
+                    except Exception:
+                        data = pickle.dumps((i, False, RuntimeError(repr(exc))))
+                data = len(data).to_bytes(8, "little") + data
+                while data:
+                    data = data[os.write(out, data) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+# The pool class ``_run_blocks`` starts: ``_ForkPool`` where the platform
+# has ``os.fork``, else concurrent.futures' ``ProcessPoolExecutor``, imported
+# by the first pool started.  The name stays because tests and perfbench's
+# tracer bind stand-ins to it.  A stand-in is ``cls(max_workers=...)``, a
+# context manager with ``map(fn, *iterables)``, and may offer
+# ``shutdown(cancel_futures=True)``.
+ProcessPoolExecutor = _ForkPool if hasattr(os, "fork") else None
+
+
 @contextmanager
 def _run_blocks(fn, blocks: list[tuple], workers: int | None) -> Iterator[Iterator]:
     """Within the ``with`` block, the results ``fn(*block)`` of ``blocks`` in
-    order.  This is the only place a process pool starts.
+    order.  This is the only place a pool of processes starts.
 
-    With ``workers > 1`` and at least two blocks, every block is submitted on
-    entry to a pool of ``min(workers, len(blocks), usable_cpus())``
-    processes, so the caller may work inside the block while the pool does;
-    leaving the block waits for the workers, and leaving it by an exception
-    first cancels the blocks not yet started.  Otherwise the blocks run in
-    this process, each when its result is read.
+    With ``workers > 1`` and at least two blocks, a pool of
+    ``min(workers, len(blocks), usable_cpus())`` processes
+    (``ProcessPoolExecutor``) starts on every block on entry, so the caller
+    may work inside the block while the pool does; leaving the block waits
+    for the workers, and leaving it by an exception first stops them
+    (kills the forked children, or cancels the blocks not yet started).
+    Otherwise the blocks run in this process, each when its result is read.
     """
     if workers is None or workers < 2 or len(blocks) < 2:
         yield itertools.starmap(fn, blocks)

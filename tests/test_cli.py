@@ -542,6 +542,38 @@ class TestInterrupt:
         assert out == ""
         assert err.splitlines() == ["sigperm conjecture: error: interrupted"]
 
+    def test_ctrl_c_to_the_pooled_walk_leaves_no_process(self, tmp_path):
+        # Ctrl-C signals the whole process group, the pool's children too
+        marker = tmp_path / "walking"
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["conjecture", "--p1", "12345", "--p2", "21354", "--max-n", "8", "--allow-long"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", MARKED_CLI, str(marker), *argv, "--threads", "2"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.3)  # let the pool start its blocks
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130, err
+            assert out == ""
+            assert err.splitlines() == ["sigperm conjecture: error: interrupted"]
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+        finally:
+            proc.kill()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
 
 class TestVerify:
     def test_passes(self, capsys):

@@ -373,6 +373,17 @@ class TestExplicitTree:
 
     @pytest.mark.parametrize("pattern", BOTH)
     @pytest.mark.parametrize("j", range(3))
+    def test_unchecked_children_equal_checked_ones(self, pattern, j):
+        # the tree builds its children without the constructor's checks;
+        # each must be the element the checked constructor makes
+        for level in tree_levels(build_tree(pattern, j, 4)):
+            for node in level:
+                w = node.perm
+                assert w == SignedPermutation(w.neg_images)
+                assert type(w.neg_images) is tuple and w.n == len(w.neg_images)
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    @pytest.mark.parametrize("j", range(3))
     def test_nodes_carry_their_labels(self, pattern, j):
         for depth, level in enumerate(tree_levels(build_tree(pattern, j, 3))):
             for node in level:

@@ -3,8 +3,12 @@
 import functools
 import itertools
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +268,113 @@ class TestParallel:
         monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", spawn)
         assert avoider_counts(4, P2143, workers=2) == avoider_counts(4, P2143)
         assert avoider_rows(4, P2143, workers=2) == avoider_rows(4, P2143)
+
+
+# runs one case against the default pool in a fresh interpreter, whose only
+# children are the pool's (the test process has others, such as the spawned
+# pool's resource tracker); prints the case's outcome, then whether a child
+# of the interpreter is left
+FORK_POOL = """
+import os, signal, sys
+import sigperm.oracle as oracle
+from sigperm.cli import main
+
+oracle.usable_cpus = lambda: 2
+count_row = oracle._count_row
+
+
+def run(fn, blocks):
+    with oracle._run_blocks(fn, blocks, 2) as results:
+        return list(results)
+
+
+def fail_at_7(i):
+    if i == 7:
+        raise ValueError("x")
+    return i
+
+
+class Unpicklable(Exception):
+    def __init__(self):
+        super().__init__(lambda: None)
+
+
+def unpicklable_at_1(i):
+    if i == 1:
+        raise Unpicklable
+    return i
+
+
+def die_at_3(*args):
+    if args[-1] == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return count_row(*args)
+
+
+def interrupted():
+    # blocks of about 0.2 s each, still running when the caller leaves
+    with oracle._run_blocks(count_row, oracle._scan_blocks([7], [(1, 2, 3, 4)]), 2) as results:
+        next(results)
+        raise KeyboardInterrupt
+
+
+def crashed_count():
+    oracle._count_row = die_at_3
+    return main(["count", "--n", "4", "--pattern", "1234", "--threads", "2"])
+
+
+CASES = {
+    # 20 000 indices of 4 bytes would not fit in a 64 KiB pipe
+    "in-order": lambda: oracle.ProcessPoolExecutor is oracle._ForkPool
+    and run(lambda i: 2 * i, [(i,) for i in range(20_000)]) == [2 * i for i in range(20_000)],
+    "raises": lambda: run(fail_at_7, [(i,) for i in range(10)]),
+    "unpicklable": lambda: run(unpicklable_at_1, [(i,) for i in range(10)]),
+    "killed": lambda: run(die_at_3, oracle._scan_blocks([3], [(2, 1)])),
+    "interrupted": interrupted,
+    "crashed-count": crashed_count,
+}
+try:
+    print(CASES[sys.argv[1]]())
+except BaseException as exc:
+    print(type(exc).__name__, exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child is left")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked pool needs os.fork")
+@pytest.mark.parametrize(
+    "case, outcome, err",
+    [
+        ("in-order", "True", []),
+        ("raises", "ValueError x", []),
+        ("unpicklable", "RuntimeError Unpicklable(<function ", []),
+        ("killed", "RuntimeError a pool worker exited with code -9", []),
+        ("interrupted", "KeyboardInterrupt ", []),
+        (
+            "crashed-count",
+            "SystemExit 2",
+            ["sigperm count: error: RuntimeError: a pool worker exited with code -9"],
+        ),
+    ],
+)
+def test_fork_pool(case, outcome, err):
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", FORK_POOL, case],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    first, last = result.stdout.splitlines()
+    assert first.startswith(outcome)
+    assert last == "no child is left"
+    assert result.stderr.splitlines() == err
 
 
 def _scan_rows(max_n, pattern):

@@ -17,17 +17,27 @@ ROOT = Path(__file__).resolve().parent.parent
 
 HEAVY = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
 
+# counts the forks this interpreter makes
+FORKS = """
+import os
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+"""
+
 # modules the interpreter loaded before sigperm (say from a site .pth file)
-# are not sigperm's to avoid
-SCRIPT = f"""
+# are not sigperm's to avoid; the pooled scan runs on 2 usable CPUs on any
+# host, so it forks two workers
+SCRIPT = FORKS + f"""
 import sys
 before = set(sys.modules)
 import sigperm.cli
 print(sorted(m for m in {HEAVY!r} if m in sys.modules and m not in before))
+import sigperm.oracle
 from sigperm import Pattern, avoider_counts
+sigperm.oracle.usable_cpus = lambda: 2
 p = Pattern.parse("2143")
 print(avoider_counts(4, p, workers=2) == avoider_counts(4, p))
-print("concurrent.futures" in sys.modules)
+print(len(forks), sorted(m for m in {HEAVY!r} if m in sys.modules and m not in before))
 """
 
 
@@ -41,16 +51,16 @@ def test_cli_import_skips_pool_and_dataclasses():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "True", "True"]
+    assert result.stdout.splitlines() == ["[]", "True", "2 []"]
 
 
-CONJECTURE = """
+CONJECTURE = FORKS + """
 import contextlib, io, sys
 before = set(sys.modules)
 from sigperm.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "4", "--threads", "1"])
-print(code, "concurrent.futures" in set(sys.modules) - before)
+print(code, "concurrent.futures" in set(sys.modules) - before, len(forks))
 """
 
 
@@ -64,7 +74,7 @@ def test_serial_conjecture_starts_no_pool_machinery():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["0 False"]
+    assert result.stdout.splitlines() == ["0 False 0"]
 
 
 # what each command loads, among the route modules, verify's checks, json,
