@@ -8,11 +8,12 @@ checkable is the point of the package.
 
 ``import sigperm`` loads no submodule.  Each re-exported name, and each
 submodule, is resolved on first use through a module ``__getattr__``
-(PEP 562), so a command compiles only the modules it runs.  Two leaf
+(PEP 562), so a command compiles only the modules it runs.  Three leaf
 modules hold what the fast counting routes share with the others:
 :mod:`sigperm.pattern` the pattern (the kernel in :mod:`sigperm.core`
-re-exports it) and :mod:`sigperm.formulas` the closed forms (the scan in
-:mod:`sigperm.oracle` imports them).
+re-exports it), :mod:`sigperm.formulas` the closed forms (the scan in
+:mod:`sigperm.oracle` imports them) and :mod:`sigperm.labeldp` the forward
+label DP (the explicit tree in :mod:`sigperm.gentree` re-exports it).
 """
 
 __version__ = "0.1.0"
@@ -33,8 +34,8 @@ _EXPORTS = {
         "successors",
         "grow_tree",
         "build_tree",
-        "level_counts",
     ),
+    "labeldp": ("level_counts",),
     "labeltable": ("tree_rows",),
     "gf": (
         "validate_signature",

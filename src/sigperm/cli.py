@@ -14,21 +14,25 @@ overflow.  Exit codes: 0 all good, 1 a verification inequality was found,
 every failure after parsing into one stderr line and exit 2, and an
 interrupt into one stderr line and exit 130.
 
+This module is the dispatcher: it parses, stamps the run manifest, writes
+JSON payloads, and holds the brute-force guards.  Each command's body is a
+module of its own, ``sigperm.cmd_<command>``, which only that command
+loads, and the table and csv text is :mod:`sigperm.render`, which only
+those formats load.  The parser builds only the subparser ``argv`` names.
 Each command imports the route modules it runs, and ``verify`` its checks
 (:mod:`sigperm.checks`), when it runs: ``--version`` and ``--help`` load
 no other ``sigperm`` module, and ``count --method tree|gf|formula``
 compiles neither the containment kernel (:mod:`sigperm.core`) nor the scan
 (:mod:`sigperm.oracle`), since it reads its pattern from the leaf
-:mod:`sigperm.pattern` and Egge's sum from the leaf
-:mod:`sigperm.formulas`.  JSON payloads are written without the ``json``
-package.  This module only parses and renders.
+:mod:`sigperm.pattern`, Egge's sum from the leaf :mod:`sigperm.formulas`
+and one ``--j`` cell from the leaf :mod:`sigperm.labeldp`.  JSON payloads
+are written without the ``json`` package.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 import time
 from functools import cache
@@ -154,34 +158,9 @@ def _emit(
     }
     text = None  # a JSON payload is written as it is encoded
     if args.format != "json" and (columns or table):
-        import json
+        from .render import render
 
-        # table and csv print the manifest as a note; the JSON payload holds it
-        note = "# manifest: " + json.dumps(manifest, sort_keys=True)
-        if table is not None:
-            text = "\n".join([*table, note]) + "\n"
-        else:
-            cells = [
-                ["" if row[c] is None else str(row[c]) for c in columns]
-                for row in body["rows"]
-            ]
-            if args.format == "csv":
-                import csv
-                import io
-
-                out = io.StringIO()
-                csv.writer(out, lineterminator="\n").writerows([columns, *cells])
-                text = f"{note}\n{out.getvalue()}"
-            else:
-                widths = [
-                    max([len(col)] + [len(row[i]) for row in cells])
-                    for i, col in enumerate(columns)
-                ]
-                lines = [
-                    "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                    for row in [list(columns), *cells]
-                ]
-                text = "\n".join([*lines, note]) + "\n"
+        text = render(args.format, manifest, body, columns, table)
 
     from contextlib import nullcontext
 
@@ -232,230 +211,12 @@ def _resolve_workers(args: argparse.Namespace, blocks: int) -> int:
     return min(cpus if args.threads is None else args.threads, cpus, blocks)
 
 
-def cmd_count(args: argparse.Namespace) -> int:
-    from .pattern import Pattern
-
-    pattern = Pattern.parse(args.pattern)
-    method = args.method
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
-    if method == "formula":
-        if str(pattern) != "1234":
-            raise ValueError("method 'formula' evaluates Egge's sum for 1234 only")
-        if args.j is not None:
-            raise ValueError(
-                "method 'formula' gives the total only; "
-                "the statistic-refined counts have no closed form here"
-            )
-    if args.j is not None and not 0 <= args.j <= args.n:
-        raise ValueError(f"--j {args.j} outside 0..{args.n}")
-    # only the exhaustive scan starts processes, with 2n blocks from size 2
-    blocks = 2 * args.n if method == "brute" and args.n >= 2 else 0
-    workers = _resolve_workers(args, blocks)
-    if method == "brute":
-        # a pooled scan is not cached, so a pooled row scans once per j
-        pooled_row = workers > 1 and args.j is None
-        _guard_cost(args, "--n", [args.n], args.n + 1 if pooled_row else 1)
-    # load the one route this method runs
-    if method == "gf":
-        from . import gf
-    elif method == "tree" and args.j is None:
-        from . import labeltable
-    elif method == "tree":
-        from . import gentree
-    elif method == "formula":
-        from . import formulas
-    else:
-        from . import oracle
-    started = time.perf_counter()
-    if method == "formula":
-        cells = [(None, formulas.egge_formula(args.n))]
-    else:
-        js = [args.j] if args.j is not None else range(args.n + 1)
-        if method == "gf":
-            row = gf.avoider_count_from_series(args.n, pattern)[args.n]
-        elif method == "tree" and args.j is None:
-            row = labeltable.tree_rows(args.n, pattern)[args.n]
-        elif method == "tree":
-            row = {args.j: gentree.level_counts(pattern, args.j, args.n - args.j)[-1]}
-        else:
-            row = {j: oracle.avoider_counts(args.n, pattern, workers)[j] for j in js}
-        cells = [(j, row[j]) for j in js]
-        if args.j is None:
-            cells.append((None, sum(c for _, c in cells)))
-    rows = [
-        dict(n=args.n, j=j, pattern=str(pattern), method=method, count=str(c))
-        for j, c in cells
-    ]
-    manifest = {
-        "patterns": [str(pattern)],
-        "n_min": args.n,
-        "n_max": args.n,
-        "j": args.j,
-        "methods": [method],
-        "degree_bound": args.n + 1 if method == "gf" else None,
-        "workers": workers,
-    }
-    columns = ("n", "j", "pattern", "method", "count")
-    _emit(args, started, manifest, {"rows": rows}, columns)
-    return 0
+# the subcommands, in the order the main help lists them
+COMMANDS = ("count", "verify", "conjecture", "gf", "tree")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    from . import checks
-
-    if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
-    # one whole scan per pattern
-    _guard_cost(args, "--max-n", range(args.max_n + 1), 2)
-    # the scans' blocks: 2n for each pattern and size 2 <= n <= max_n
-    workers = _resolve_workers(args, 2 * (args.max_n**2 + args.max_n - 2))
-    started = time.perf_counter()
-    rows = checks.run_checks(args.max_n, workers)
-    manifest = {
-        "patterns": ["1234", "2143"],
-        "n_max": args.max_n,
-        "methods": ["brute", "tree", "gf", "formula"],
-        "degree_bound": checks.SERIES_GRID_DEGREE,
-        "workers": workers,
-    }
-    _emit(args, started, manifest, {"rows": rows}, ("name", "status", "detail"))
-    return 0 if all(row["status"] == "pass" for row in rows) else 1
-
-
-def cmd_conjecture(args: argparse.Namespace) -> int:
-    from . import oracle
-    from .pattern import Pattern
-
-    p1 = Pattern.parse(args.p1)
-    p2 = Pattern.parse(args.p2)
-    if len(p1) != len(p2):
-        raise ValueError("the two patterns must have equal length")
-    if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
-    walks = sum(1 if p.reverse_complement() == p else 2 for p in (p1, p2))
-    _guard_cost(args, "--max-n", range(args.max_n + 1), walks)
-    # the walk's blocks are the avoiders of size max_n // 2, at most every
-    # signed permutation of that size; the walk's rows count them
-    half = args.max_n // 2
-    workers = _resolve_workers(args, 2**half * math.factorial(half))
-    started = time.perf_counter()
-    rows1 = oracle.avoider_rows(args.max_n, p1, workers=workers)
-    rows2 = oracle.avoider_rows(args.max_n, p2, workers=workers)
-    workers = _resolve_workers(args, max(sum(rows1[half]), sum(rows2[half])))
-    rows = [
-        {
-            "n": n,
-            "j": j,
-            "count1": str(row1[j]),
-            "count2": str(row2[j]),
-            "equal": row1[j] == row2[j],
-        }
-        for n, (row1, row2) in enumerate(zip(rows1, rows2))
-        for j in range(n + 1)
-    ]
-    manifest = {
-        "patterns": [str(p1), str(p2)],
-        "n_max": args.max_n,
-        "methods": ["brute"],
-        "workers": workers,
-    }
-    columns = ("n", "j", "count1", "count2", "equal")
-    _emit(args, started, manifest, {"rows": rows}, columns)
-    return 0 if all(row["equal"] for row in rows) else 1
-
-
-def _series_text(coeffs: tuple[int, ...]) -> str:
-    """``c0 + c1*t + c2*t^2 + ...`` through the truncation degree."""
-    powers = ["", "*t", *(f"*t^{d}" for d in range(2, len(coeffs)))]
-    return " + ".join(f"{c}{power}" for c, power in zip(coeffs, powers))
-
-
-def cmd_gf(args: argparse.Namespace) -> int:
-    from . import gf
-    from .pattern import Pattern
-
-    pattern = Pattern.parse(args.pattern)
-    tokens = args.gamma.split(",")
-    if not all(re.fullmatch(r"\s*[+-]?\d+\s*", tok) for tok in tokens):
-        raise ValueError(f"malformed signature {args.gamma!r}")
-    gamma = tuple(map(int, tokens))
-    if args.q < 1:  # layers count from 1; the library gives 0 below that
-        raise ValueError("--q must be at least 1")
-
-    started = time.perf_counter()
-    series = gf.f_series(pattern, args.k, args.q, gamma, args.degree)
-    text = _series_text(series)
-    table = [text]
-    cross_check: dict[str, Any] | None = None
-    start = (gamma[0], gamma[0] + args.k, args.q)
-    if args.degree <= 6 and start[1] <= 4 and args.q <= 3:
-        max_points = min(8, args.degree + len(gamma))
-        depth = max_points - len(gamma)
-        if depth >= 0:
-            profile = gf.path_profile(pattern, start, max_points)
-            agree = all(
-                series[d] == profile.get((gamma, d), 0)
-                for d in range(depth + 1)
-            )
-            cross_check = {
-                "start": list(start),
-                "degrees_checked": depth,
-                "agrees": agree,
-            }
-            table.append(
-                f"# path cross-check through degree {depth}: "
-                + ("ok" if agree else "MISMATCH")
-            )
-    manifest = {
-        "patterns": [str(pattern)],
-        "methods": ["gf"],
-        "degree_bound": args.degree,
-    }
-    body = {
-        "k": args.k,
-        "q": args.q,
-        "gamma": list(gamma),
-        "coefficients": [str(c) for c in series],
-        "series": text,
-        "cross_check": cross_check,
-    }
-    _emit(args, started, manifest, body, table=table)
-    return 1 if cross_check is not None and not cross_check["agrees"] else 0
-
-
-def cmd_tree(args: argparse.Namespace) -> int:
-    from . import gentree
-    from .pattern import Pattern
-
-    pattern = Pattern.parse(args.pattern)
-    started = time.perf_counter()
-    # each node's children grow when the writer reaches them, so the dump
-    # holds one path of the tree, and the wall time stops before it grows
-    tree = gentree.grow_tree(
-        pattern,
-        args.j,
-        args.depth,
-        lambda perm, label, kids: {"children": kids, "label": list(label), "perm": str(perm)},
-    )
-    manifest = {
-        "patterns": [str(pattern)],
-        "n_min": args.j,
-        "n_max": args.j + args.depth,
-        "j": args.j,
-        "methods": ["tree"],
-    }
-    _emit(args, started, manifest, {"tree": tree})
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sigperm",
-        description="Exact enumeration of pattern-avoiding signed permutations.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _add_subparser(sub: argparse._SubParsersAction, command: str) -> None:
+    """Add ``command``'s subparser, with its arguments, to ``sub``."""
 
     def common(
         p: argparse.ArgumentParser, formats: Sequence[str] = ("table", "json", "csv")
@@ -476,48 +237,63 @@ def build_parser() -> argparse.ArgumentParser:
             help="brute-force worker processes, at most the usable cores (default: all of them)",
         )
 
-    p_count = sub.add_parser("count", help="avoider counts for one size")
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--j", type=int, help="fix the statistic; omit for the full row")
-    p_count.add_argument("--pattern", required=True)
-    p_count.add_argument(
-        "--method", choices=("brute", "tree", "gf", "formula"), default="brute"
+    if command == "count":
+        p = sub.add_parser("count", help="avoider counts for one size")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--j", type=int, help="fix the statistic; omit for the full row")
+        p.add_argument("--pattern", required=True)
+        p.add_argument("--method", choices=("brute", "tree", "gf", "formula"), default="brute")
+        brute_force(p, "--n")
+        common(p)
+    elif command == "verify":
+        p = sub.add_parser("verify", help="cross-check all counting routes")
+        p.add_argument("--max-n", type=int, default=5)
+        brute_force(p, "--max-n")
+        common(p)
+    elif command == "conjecture":
+        p = sub.add_parser("conjecture", help="compare refined counts of two patterns")
+        p.add_argument("--p1", required=True)
+        p.add_argument("--p2", required=True)
+        p.add_argument("--max-n", type=int, default=5)
+        brute_force(p, "--max-n")
+        common(p)
+    elif command == "gf":
+        p = sub.add_parser("gf", help="print one path series")
+        p.add_argument("--pattern", required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--gamma", required=True, help="comma-separated signature")
+        p.add_argument("--degree", type=int, default=8)
+        common(p, ("table", "json"))
+    else:  # tree
+        p = sub.add_parser("tree", help="dump an explicit tree as JSON")
+        p.add_argument("--pattern", required=True)
+        p.add_argument("--j", type=int, required=True)
+        p.add_argument("--depth", type=int, required=True)
+        common(p, ("table", "json"))
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The command-line parser for ``argv``.
+
+    When ``argv`` starts with a command, only that command's subparser is
+    built; otherwise (``--help``, ``--version``, no arguments, an unknown
+    command) all of them are, so those texts list every command.  Either
+    way the main usage line names every command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sigperm",
+        description="Exact enumeration of pattern-avoiding signed permutations.",
     )
-    brute_force(p_count, "--n")
-    common(p_count)
-    p_count.set_defaults(func=cmd_count)
-
-    p_verify = sub.add_parser("verify", help="cross-check all counting routes")
-    p_verify.add_argument("--max-n", type=int, default=5)
-    brute_force(p_verify, "--max-n")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_conj = sub.add_parser(
-        "conjecture", help="compare refined counts of two patterns"
-    )
-    p_conj.add_argument("--p1", required=True)
-    p_conj.add_argument("--p2", required=True)
-    p_conj.add_argument("--max-n", type=int, default=5)
-    brute_force(p_conj, "--max-n")
-    common(p_conj)
-    p_conj.set_defaults(func=cmd_conjecture)
-
-    p_gf = sub.add_parser("gf", help="print one path series")
-    p_gf.add_argument("--pattern", required=True)
-    p_gf.add_argument("--k", type=int, required=True)
-    p_gf.add_argument("--q", type=int, required=True)
-    p_gf.add_argument("--gamma", required=True, help="comma-separated signature")
-    p_gf.add_argument("--degree", type=int, default=8)
-    common(p_gf, ("table", "json"))
-    p_gf.set_defaults(func=cmd_gf)
-
-    p_tree = sub.add_parser("tree", help="dump an explicit tree as JSON")
-    p_tree.add_argument("--pattern", required=True)
-    p_tree.add_argument("--j", type=int, required=True)
-    p_tree.add_argument("--depth", type=int, required=True)
-    common(p_tree, ("table", "json"))
-    p_tree.set_defaults(func=cmd_tree)
+    parser.add_argument("--version", action="version", version=__version__)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    # argparse's default metavar lists the subparsers built; only an argv
+    # naming a command builds fewer than all, and then no message names
+    # the subcommand argument but the usage line
+    metavar = "{" + ",".join(COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for command in [named] if named else COMMANDS:
+        _add_subparser(sub, command)
     return parser
 
 
@@ -533,14 +309,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     print; it is restored when the command returns.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     args.argv = ["sigperm"] + argv
     # 4300 digits by default, from Python 3.10.7 and 3.11 on; 0 means no limit
     digits = getattr(sys, "get_int_max_str_digits", int)()
     if digits:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        # each command's body is a module of its own, loaded only to run it;
+        # it reads _emit and the guards from this module when it calls them
+        command = __import__(f"{__package__}.cmd_{args.subcommand}", fromlist=["run"])
+        return command.run(args, sys.modules[__name__])
     except KeyboardInterrupt:
         print(f"sigperm {args.subcommand}: error: interrupted", file=sys.stderr)
         sys.exit(130)

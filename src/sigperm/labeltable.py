@@ -14,9 +14,9 @@ and z make each cell O(1).  The roots read at step ``r`` have
 about ``N**4 / 8`` cells in all.
 
 This module needs only :mod:`sigperm.pattern`: the tree counts load it
-without the explicit tree or the containment kernel.  ``gentree.level_counts`` runs the same rules forward from
-one root, and the tests check the two against each other and against
-``gentree.successors``.
+without the explicit tree or the containment kernel.  The leaf
+:mod:`sigperm.labeldp` runs the same rules forward from one root, and the
+tests check the two against each other and against ``gentree.successors``.
 """
 
 from __future__ import annotations

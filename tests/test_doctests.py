@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from sigperm import core, formulas, gentree, gf, labeltable, oracle, pattern
+from sigperm import core, formulas, gentree, gf, labeldp, labeltable, oracle, pattern
 
 
 @pytest.mark.parametrize(
     "module",
-    [pattern, core, formulas, oracle, gentree, labeltable, gf],
+    [pattern, core, formulas, oracle, gentree, labeldp, labeltable, gf],
     ids=lambda m: m.__name__,
 )
 def test_docstring_examples(module):

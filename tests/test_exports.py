@@ -12,11 +12,18 @@ import pytest
 
 import sigperm
 
-ROUTES = ("pattern", "core", "gentree", "labeltable", "gf", "formulas", "oracle")
+ROUTES = ("pattern", "core", "gentree", "labeldp", "labeltable", "gf", "formulas", "oracle")
 MODULES = (*ROUTES, "cli", "checks")
+# the command bodies and the table and csv text, each loaded by the CLI alone
+COMMAND_MODULES = (
+    *(f"cmd_{c}" for c in ("count", "verify", "conjecture", "gf", "tree")),
+    "render",
+)
 
 
-@pytest.mark.parametrize("module", ("sigperm", *(f"sigperm.{m}" for m in MODULES)))
+@pytest.mark.parametrize(
+    "module", ("sigperm", *(f"sigperm.{m}" for m in (*MODULES, *COMMAND_MODULES)))
+)
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
@@ -50,7 +57,7 @@ def test_package_exports_each_route_module_all():
     # the command-line modules keep their names out of the package
     routes = [importlib.import_module(f"sigperm.{m}") for m in ROUTES]
     assert sigperm.__all__ == ["__version__", *(n for m in routes for n in m.__all__)]
-    for module in ("cli", "checks"):
+    for module in ("cli", "checks", *COMMAND_MODULES):
         names = importlib.import_module(f"sigperm.{module}").__all__
         assert not set(names) & set(sigperm.__all__), module
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sigperm.gentree
+import sigperm.labeldp
 import sigperm.labeltable
 from sigperm.core import Pattern, SignedPermutation, parse, signed_permutations
 from sigperm.gentree import (
@@ -26,7 +27,8 @@ from sigperm.gentree import (
     successors,
     tree_root,
 )
-from sigperm.gentree import _accepted, _next_level
+from sigperm.gentree import _accepted
+from sigperm.labeldp import _next_level
 from sigperm.labeltable import MAX_TABLE_N, _tables, tree_rows
 from sigperm.gf import avoider_count_from_series
 from sigperm.oracle import avoider_counts, classical_1234_formula, egge_formula
@@ -558,12 +560,13 @@ class TestTreeRows:
             raise AssertionError("tree_rows ran the forward label DP")
 
         monkeypatch.setattr(sigperm.gentree, "level_counts", refuse)
-        monkeypatch.setattr(sigperm.gentree, "_next_level", refuse)
+        monkeypatch.setattr(sigperm.labeldp, "level_counts", refuse)
+        monkeypatch.setattr(sigperm.labeldp, "_next_level", refuse)
         assert tree_rows(4, P1234)[4] == (23, 80, 63, 16, 1)
         script = (
             "import sys; from sigperm.core import PATTERN_2143;"
             "from sigperm.labeltable import tree_rows; tree_rows(5, PATTERN_2143);"
-            "print('sigperm.gentree' in sys.modules)"
+            "print(any(m in sys.modules for m in ('sigperm.gentree', 'sigperm.labeldp')))"
         )
         result = subprocess.run(
             [sys.executable, "-c", script],

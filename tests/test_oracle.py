@@ -1,12 +1,9 @@
 """Brute-force counts and the closed-form evaluators."""
 
-import functools
 import itertools
-import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import comb, factorial
 from pathlib import Path
 
@@ -259,21 +256,42 @@ class TestParallel:
         assert count(workers=workers) == serial
         assert [pool.max_workers for pool in recording_pool] == expected
 
-    def test_spawned_workers(self, monkeypatch):
+    def test_spawned_workers(self):
         # spawned workers start from a fresh interpreter, so each builds its
-        # own compiled searches; nothing compiled crosses the process line
-        spawn = functools.partial(
-            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        # own compiled searches; nothing compiled crosses the process line.
+        # The spawn context leaves its resource tracker running, a child of
+        # the process that started the pool, so the pool runs in a fresh
+        # interpreter of its own, as the FORK_POOL cases do
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", SPAWN_POOL],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
-        monkeypatch.setattr(sigperm.oracle, "ProcessPoolExecutor", spawn)
-        assert avoider_counts(4, P2143, workers=2) == avoider_counts(4, P2143)
-        assert avoider_rows(4, P2143, workers=2) == avoider_rows(4, P2143)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["True", "True"]
+
+
+SPAWN_POOL = """
+import functools, multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+import sigperm.oracle as oracle
+from sigperm import Pattern, avoider_counts, avoider_rows
+
+oracle.ProcessPoolExecutor = functools.partial(
+    ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+)
+p = Pattern.parse("2143")
+print(avoider_counts(4, p, workers=2) == avoider_counts(4, p))
+print(avoider_rows(4, p, workers=2) == avoider_rows(4, p))
+"""
 
 
 # runs one case against the default pool in a fresh interpreter, whose only
-# children are the pool's (the test process has others, such as the spawned
-# pool's resource tracker); prints the case's outcome, then whether a child
-# of the interpreter is left
+# children are the pool's (the test process may have others); prints the
+# case's outcome, then whether a child of the interpreter is left
 FORK_POOL = """
 import os, signal, sys
 import sigperm.oracle as oracle

@@ -3,7 +3,8 @@
 No ``assert`` statement guards an invariant, because ``python -O`` strips
 them.  The CLI has one failure path: only ``cli.main`` catches exceptions or
 calls ``sys.exit``, besides the ``if __name__ == "__main__"`` line, and
-verify's checks (``checks.py``) do neither.
+neither the command bodies (``cmd_*.py``), the table and csv text
+(``render.py``) nor verify's checks (``checks.py``) do either.
 """
 
 import ast
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import sigperm
+from sigperm.cli import COMMANDS
 
-SOURCES = sorted(Path(sigperm.__file__).parent.glob("*.py"))
+PACKAGE = Path(sigperm.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -43,7 +46,7 @@ def _is_main_guard(node):
 
 
 def test_cli_fails_only_through_main():
-    path = Path(sigperm.__file__).parent / "cli.py"
+    path = PACKAGE / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     allowed = [
         node
@@ -62,12 +65,24 @@ def test_cli_fails_only_through_main():
     assert offenders == []
 
 
-def test_checks_leave_failures_to_main():
-    path = Path(sigperm.__file__).parent / "checks.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    offenders = [
+def _failure_paths(name):
+    """Lines of ``name`` that catch an exception or call ``sys.exit``."""
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.ExceptHandler) or _is_sys_exit(node)
     ]
-    assert offenders == []
+
+
+def test_checks_leave_failures_to_main():
+    assert _failure_paths("checks.py") == []
+
+
+# every command's body and the table and csv text run under cli.main
+CLI_MODULES = [f"cmd_{command}.py" for command in COMMANDS] + ["render.py"]
+
+
+@pytest.mark.parametrize("name", CLI_MODULES)
+def test_command_modules_leave_failures_to_main(name):
+    assert _failure_paths(name) == []

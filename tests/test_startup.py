@@ -1,5 +1,5 @@
 """Start-up cost: importing the CLI loads only what a serial command runs,
-and each command loads only the route modules it runs.
+and each command loads only its own module and the route modules it runs.
 
 Each check runs in a fresh interpreter against the source tree, since the
 test process itself has long since imported everything.
@@ -77,14 +77,18 @@ def test_serial_conjecture_starts_no_pool_machinery():
     assert result.stdout.splitlines() == ["0 False 0"]
 
 
-# what each command loads, among the route modules, verify's checks, json,
-# csv and the pool machinery: every command runs in its own fresh
-# interpreter with bytecode writing off, so each module is compiled only if
-# loaded
+# what each command loads, among the command modules, the table and csv
+# text, the route modules, verify's checks, json, csv and the pool
+# machinery: every command runs in its own fresh interpreter with bytecode
+# writing off, so each module is compiled only if loaded
+COMMAND_NAMES = ("count", "verify", "conjecture", "gf", "tree")
 WATCHED = (
+    *(f"sigperm.cmd_{command}" for command in COMMAND_NAMES),
+    "sigperm.render",
     "sigperm.pattern",
     "sigperm.core",
     "sigperm.gentree",
+    "sigperm.labeldp",
     "sigperm.labeltable",
     "sigperm.gf",
     "sigperm.formulas",
@@ -109,50 +113,67 @@ loaded = set(sys.modules) - before
 print(code, sorted(m for m in {WATCHED!r} if m in loaded))
 """
 
-PATTERN, CORE, GENTREE, TABLE, GF, FORMULAS, ORACLE = (
+PATTERN, CORE, GENTREE, LABELDP, TABLE, GF, FORMULAS, ORACLE = (
     f"sigperm.{m}"
-    for m in ("pattern", "core", "gentree", "labeltable", "gf", "formulas", "oracle")
+    for m in ("pattern", "core", "gentree", "labeldp", "labeltable", "gf", "formulas", "oracle")
 )
-# the table and csv formats print the manifest as a note through json
+CMD_COUNT, CMD_VERIFY, CMD_CONJECTURE, CMD_GF, CMD_TREE = (
+    f"sigperm.cmd_{c}" for c in COMMAND_NAMES
+)
+# the table and csv formats render through their own module, which prints
+# the manifest as a note through json
+RENDER = "sigperm.render"
 JSON = "json"
-HELP = [["--version"], ["--help"]] + [
-    [command, "--help"] for command in ("count", "verify", "conjecture", "gf", "tree")
-]
+HELP = [["--version"], ["--help"]] + [[command, "--help"] for command in COMMAND_NAMES]
 COMMANDS = [
     *((argv, []) for argv in HELP),
     (
         ["count", "--n", "6", "--pattern", "1234", "--method", "formula"],
-        [PATTERN, FORMULAS, JSON],
+        [CMD_COUNT, RENDER, PATTERN, FORMULAS, JSON],
     ),
     (
         ["count", "--n", "6", "--pattern", "1234", "--method", "formula", "--format", "csv"],
-        [PATTERN, FORMULAS, JSON, "csv"],
+        [CMD_COUNT, RENDER, PATTERN, FORMULAS, JSON, "csv"],
     ),
-    (["count", "--n", "6", "--pattern", "2143", "--method", "gf"], [PATTERN, GF, JSON]),
-    # a full tree row reads the label table; one cell runs the forward DP
-    (["count", "--n", "6", "--pattern", "2143", "--method", "tree"], [PATTERN, TABLE, JSON]),
+    (
+        ["count", "--n", "6", "--pattern", "2143", "--method", "gf"],
+        [CMD_COUNT, RENDER, PATTERN, GF, JSON],
+    ),
+    # a full tree row reads the label table; one cell runs the forward DP,
+    # a leaf that loads neither the explicit tree nor the kernel
+    (
+        ["count", "--n", "6", "--pattern", "2143", "--method", "tree"],
+        [CMD_COUNT, RENDER, PATTERN, TABLE, JSON],
+    ),
     (
         ["count", "--n", "6", "--pattern", "2143", "--method", "tree", "--j", "3"],
-        [PATTERN, CORE, GENTREE, JSON],
+        [CMD_COUNT, RENDER, PATTERN, LABELDP, JSON],
     ),
-    (["tree", "--pattern", "2143", "--j", "1", "--depth", "2"], [PATTERN, CORE, GENTREE]),
-    (["gf", "--pattern", "2143", "--k", "2", "--q", "1", "--gamma", "3"], [PATTERN, GF, JSON]),
+    # the explicit tree counts its nodes with the forward DP before growing
+    (
+        ["tree", "--pattern", "2143", "--j", "1", "--depth", "2"],
+        [CMD_TREE, PATTERN, CORE, GENTREE, LABELDP],
+    ),
+    (
+        ["gf", "--pattern", "2143", "--k", "2", "--q", "1", "--gamma", "3"],
+        [CMD_GF, RENDER, PATTERN, GF, JSON],
+    ),
     # the path cross-check walks gentree's succession rules
     (
         ["gf", "--pattern", "2143", "--k", "0", "--q", "3", "--gamma", "1,2", "--degree", "6"],
-        [PATTERN, CORE, GENTREE, GF, JSON],
+        [CMD_GF, RENDER, PATTERN, CORE, GENTREE, LABELDP, GF, JSON],
     ),
     (
         ["count", "--n", "4", "--pattern", "2143", "--threads", "1"],
-        [PATTERN, CORE, FORMULAS, ORACLE, JSON],
+        [CMD_COUNT, RENDER, PATTERN, CORE, FORMULAS, ORACLE, JSON],
     ),
     (
         ["conjecture", "--p1", "1234", "--p2", "2143", "--max-n", "4", "--threads", "1"],
-        [PATTERN, CORE, FORMULAS, ORACLE, JSON],
+        [CMD_CONJECTURE, RENDER, PATTERN, CORE, FORMULAS, ORACLE, JSON],
     ),
     (
         ["verify", "--max-n", "3", "--threads", "1"],
-        [PATTERN, CORE, TABLE, GF, FORMULAS, ORACLE, "sigperm.checks", JSON],
+        [CMD_VERIFY, RENDER, PATTERN, CORE, TABLE, GF, FORMULAS, ORACLE, "sigperm.checks", JSON],
     ),
 ]
 
@@ -175,6 +196,14 @@ def _run_one(argv):
 @pytest.mark.parametrize("argv, loads", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
 def test_each_command_loads_only_what_it_runs(argv, loads):
     assert _run_one(argv) == (0, sorted(loads))
+
+
+def test_each_command_loads_its_own_module_and_no_other():
+    # the help texts and --version load no command module, and every other
+    # entry of the table loads exactly the module of the command it runs
+    for argv, loads in COMMANDS:
+        own = [] if argv in HELP else [f"sigperm.cmd_{argv[0]}"]
+        assert [m for m in loads if m.startswith("sigperm.cmd_")] == own, argv
 
 
 # the routes past brute force read the pattern and Egge's sum from leaf
@@ -202,7 +231,7 @@ JSON_COMMANDS = [argv for argv, _ in COMMANDS if argv not in HELP and "--format"
 def test_json_payloads_load_no_json_package(argv):
     code, loaded = _run_one([*argv, "--format", "json"])
     assert code == 0
-    assert JSON not in loaded
+    assert JSON not in loaded and RENDER not in loaded
 
 
 def test_importtime_lists_the_route_module():
@@ -220,3 +249,5 @@ def test_importtime_lists_the_route_module():
     assert result.returncode == 0, result.stderr
     listed = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
     assert "sigperm.labeltable" in listed
+    # the dispatcher loads the command's module the same way
+    assert "sigperm.cmd_count" in listed
