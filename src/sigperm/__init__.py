@@ -37,12 +37,12 @@ _EXPORTS = {
     ),
     "labeldp": ("level_counts",),
     "labeltable": ("tree_rows",),
-    "gf": (
+    "gf": ("avoider_count_from_series",),
+    "paths": (
         "validate_signature",
         "signatures",
         "SeriesCache",
         "f_series",
-        "avoider_count_from_series",
         "is_recorded",
         "signature_of",
         "path_profile",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+# gf re-exports the series grid's signatures and SeriesCache from paths
 from . import gf, labeltable, oracle
 from .pattern import TREE_PATTERNS, Pattern
 

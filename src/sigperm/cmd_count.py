@@ -1,8 +1,9 @@
 """``sigperm count``: avoider counts for one size, by any counting method.
 
 Only ``count`` loads this module, and it loads the one route module its
-method runs: ``formula`` :mod:`sigperm.formulas`, ``gf`` :mod:`sigperm.gf`,
-``tree`` :mod:`sigperm.labeltable` for a full row and the leaf
+method runs: ``formula`` :mod:`sigperm.formulas`, ``gf`` the leaf
+:mod:`sigperm.gf` (a ``--j`` cell from the series tables cut to columns
+``j <= J``), ``tree`` :mod:`sigperm.labeltable` for a full row and the leaf
 :mod:`sigperm.labeldp` for one ``--j`` cell, ``brute`` :mod:`sigperm.oracle`.
 """
 
@@ -58,7 +59,7 @@ def run(args: argparse.Namespace, cli: ModuleType) -> int:
     else:
         js = [args.j] if args.j is not None else range(args.n + 1)
         if method == "gf":
-            row = gf.avoider_count_from_series(args.n, pattern)[args.n]
+            row = gf.avoider_count_from_series(args.n, pattern, args.j)[args.n]
         elif method == "tree" and args.j is None:
             row = labeltable.tree_rows(args.n, pattern)[args.n]
         elif method == "tree":

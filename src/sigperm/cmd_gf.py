@@ -1,8 +1,10 @@
 """``sigperm gf``: print one path series, with a path-enumeration
 cross-check at small sizes, and exit 1 if the two disagree.
 
-Only ``gf`` loads this module; it runs :mod:`sigperm.gf`, whose path
-cross-check walks ``gentree``'s succession rules.
+Only ``gf`` loads this module; it reads the series and the path
+cross-check off :mod:`sigperm.gf`, which re-exports them from
+:mod:`sigperm.paths`.  The cross-check walks ``gentree``'s succession
+rules.
 """
 
 from __future__ import annotations

@@ -423,24 +423,46 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "method, triangle, cap",
+        "method, refusal",
         [
-            ("tree", "tree", sigperm.labeltable.MAX_TABLE_N),
-            ("gf", "series", sigperm.gf.MAX_SERIES_N),
+            (
+                "tree",
+                f"tree triangle capped at size {sigperm.labeltable.MAX_TABLE_N}; "
+                "`sigperm count --method tree --j J` (level_counts) gives one "
+                "statistic's column past the cap",
+            ),
+            # the series budget is the whole triangle at the same size
+            (
+                "gf",
+                "series table for size 121 has 29074125 cells, over the budget "
+                f"of {sigperm.gf.MAX_SERIES_CELLS}; `sigperm count --method gf "
+                "--j J` builds one statistic's column",
+            ),
         ],
         ids=["tree", "gf"],
     )
-    def test_tree_row_past_the_table_cap_is_one_line(self, capsys, method, triangle, cap):
-        n = cap + 1
+    def test_tree_row_past_the_table_cap_is_one_line(self, capsys, method, refusal):
         with pytest.raises(SystemExit) as exc:
-            main(["count", "--n", str(n), "--pattern", "2143", "--method", method])
+            main(["count", "--n", "121", "--pattern", "2143", "--method", method])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            f"sigperm count: error: {triangle} triangle capped at size {n - 1}; "
-            "`sigperm count --method tree --j J` (level_counts) gives one "
-            "statistic's column past the cap"
+        assert captured.err.splitlines() == [f"sigperm count: error: {refusal}"]
+
+    def test_series_column_past_the_triangle_budget(self, capsys):
+        # a column fits the budget far past the whole triangle; the last
+        # column of a size needs every layer, so it is refused like the row
+        code, doc = run_json(
+            capsys, "count", "--n", "121", "--j", "0", "--pattern", "2143", "--method", "gf"
+        )
+        assert code == 0
+        assert doc["rows"][0]["count"] == str(sigperm.formulas.classical_1234_formula(121))
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--n", "121", "--j", "121", "--pattern", "2143", "--method", "gf"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sigperm count: error: series table for size 121 has 29074125 cells, "
+            f"over the budget of {sigperm.gf.MAX_SERIES_CELLS}"
         ]
 
     @pytest.mark.parametrize("method", ["gf", "tree", "formula"])

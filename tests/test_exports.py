@@ -12,7 +12,9 @@ import pytest
 
 import sigperm
 
-ROUTES = ("pattern", "core", "gentree", "labeldp", "labeltable", "gf", "formulas", "oracle")
+ROUTES = (
+    "pattern", "core", "gentree", "labeldp", "labeltable", "gf", "paths", "formulas", "oracle",
+)
 MODULES = (*ROUTES, "cli", "checks")
 # the command bodies and the table and csv text, each loaded by the CLI alone
 COMMAND_MODULES = (
@@ -51,6 +53,15 @@ def test_test_only_api_stays_out():
     gf = importlib.import_module("sigperm.gf")
     gone = ("TruncatedSeries", "LatticePath", "path_from_points")
     assert [name for name in gone if hasattr(gf, name) or hasattr(sigperm, name)] == []
+
+
+def test_gf_reexports_the_paths_module_objects():
+    # perfbench and the verify checks read the series names off gf
+    gf = importlib.import_module("sigperm.gf")
+    paths = importlib.import_module("sigperm.paths")
+    for name in (*paths.__all__, "MAX_SIGNATURE_LENGTH"):
+        assert getattr(gf, name) is getattr(paths, name), name
+    assert not hasattr(gf, "no_such_name")
 
 
 def test_package_exports_each_route_module_all():

@@ -11,11 +11,10 @@ import pytest
 import sigperm.gf
 from sigperm.core import Pattern
 from sigperm.gentree import TreeLabel, level_counts, successors
-from sigperm.gf import (
-    MAX_SERIES_N,
+from sigperm.gf import MAX_SERIES_CELLS, avoider_count_from_series
+from sigperm.paths import (
     MAX_SIGNATURE_LENGTH,
     SeriesCache,
-    avoider_count_from_series,
     f_series,
     is_recorded,
     path_profile,
@@ -244,11 +243,52 @@ class TestCountExtraction:
             for _sig, d in path_profile(pattern, (2, 2, 2), 4):
                 assert d >= 0
 
+    @pytest.mark.parametrize("pattern", BOTH)
+    @pytest.mark.parametrize("max_j", (0, 1, 3, 10))
+    def test_column_cut_equals_the_triangle(self, pattern, max_j, far_triangles):
+        # the tables cut at layer max_j + 1 keep every column they still hold
+        cut = avoider_count_from_series(FAR_N, pattern, max_j)
+        assert cut == tuple(row[: max_j + 1] for row in far_triangles[str(pattern)])
+
+    def test_column_cut_builds_only_its_layers(self):
+        # two degrees' tables are held at a time, so one column's peak is
+        # about 1/max_n of the triangle's (17 times smaller at size 20)
+        peaks = []
+        for max_j in (None, 0):
+            tracemalloc.start()
+            try:
+                avoider_count_from_series(20, P2143, max_j)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] * 5 < peaks[0]
+
+    def test_column_bound_past_the_size_is_the_triangle(self):
+        for pattern in BOTH:
+            assert avoider_count_from_series(7, pattern, 9) == avoider_count_from_series(
+                7, pattern
+            )
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match="size -1 must be nonnegative"):
             avoider_count_from_series(-1, P2143)
+        with pytest.raises(ValueError, match="column bound -1 must be nonnegative"):
+            avoider_count_from_series(3, P2143, -1)
         with pytest.raises(ValueError, match="no generating tree"):
             avoider_count_from_series(3, Pattern.parse("321"))
+
+    def test_cells_are_counted_exactly(self):
+        # one cell per state (q, diag, g1), 0 <= g1 <= diag <= size, for each
+        # layer q the tables keep, summed over the degrees
+        for max_n in range(12):
+            for layers in range(1, max_n + 3):
+                cells = sum(
+                    min(size, layers) * (size + 1) * (size + 2) // 2
+                    for size in range(1, max_n + 2)
+                )
+                assert sigperm.gf._table_cells(max_n, layers) == cells
+        # the budget is the whole triangle at size 120
+        assert sigperm.gf._table_cells(120, 121) == MAX_SERIES_CELLS
 
     def test_refuses_past_the_cap_before_allocating(self, monkeypatch):
         # the message is matched after tracing stops: compiling the pattern
@@ -256,17 +296,39 @@ class TestCountExtraction:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as refused:
-                avoider_count_from_series(MAX_SERIES_N + 1, P2143)
+                avoider_count_from_series(121, P2143)
+            with pytest.raises(ValueError) as column_refused:
+                avoider_count_from_series(10**9, P2143, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10_000
-        refused.match(f"capped at size {MAX_SERIES_N}")
-        # the cap is read at call time
-        monkeypatch.setattr(sigperm.gf, "MAX_SERIES_N", 5)
+        assert str(refused.value) == (
+            f"series table for size 121 has 29074125 cells, over the budget of "
+            f"{MAX_SERIES_CELLS}; `sigperm count --method gf --j J` builds one "
+            "statistic's column"
+        )
+        # a refused column names no column route
+        assert str(column_refused.value).endswith(f"over the budget of {MAX_SERIES_CELLS}")
+        # the budget is read at call time
+        monkeypatch.setattr(sigperm.gf, "MAX_SERIES_CELLS", sigperm.gf._table_cells(5, 6))
         assert avoider_count_from_series(5, P1234)[5] == avoider_counts(5, P1234)
-        with pytest.raises(ValueError, match="capped at size 5"):
+        with pytest.raises(ValueError, match="has 630 cells, over the budget of 378;"):
             avoider_count_from_series(6, P1234)
+        # two columns of size 6 fit where its triangle does not
+        assert avoider_count_from_series(6, P1234, 1)[6] == avoider_counts(6, P1234)[:2]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pattern", BOTH)
+def test_far_columns_match_label_dp_and_gessel(pattern):
+    # the cut series tables against the other column route, the forward
+    # label DP, and column 0 against Gessel's |S_n(1234)|
+    columns = avoider_count_from_series(150, pattern, 3)
+    for j in range(4):
+        assert [row[j] for row in columns[j:]] == level_counts(pattern, j, 150 - j), j
+    column = avoider_count_from_series(300, pattern, 0)
+    assert [row[0] for row in column] == [classical_1234_formula(n) for n in range(301)]
 
 
 class TestRecordedSteps:

@@ -4,7 +4,10 @@ No ``assert`` statement guards an invariant, because ``python -O`` strips
 them.  The CLI has one failure path: only ``cli.main`` catches exceptions or
 calls ``sys.exit``, besides the ``if __name__ == "__main__"`` line, and
 neither the command bodies (``cmd_*.py``), the table and csv text
-(``render.py``) nor verify's checks (``checks.py``) do either.
+(``render.py``) nor verify's checks (``checks.py``) do either.  The
+counting routes past brute force that the others are checked against,
+``gf``, ``labeldp`` and ``labeltable``, import no ``sigperm`` module but
+``pattern``.
 """
 
 import ast
@@ -86,3 +89,34 @@ CLI_MODULES = [f"cmd_{command}.py" for command in COMMANDS] + ["render.py"]
 @pytest.mark.parametrize("name", CLI_MODULES)
 def test_command_modules_leave_failures_to_main(name):
     assert _failure_paths(name) == []
+
+
+def _sigperm_imports(name):
+    """The ``sigperm`` modules ``name`` imports, anywhere but in a module
+    ``__getattr__``, which re-exports names on first use and runs none."""
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    lazy = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == "__getattr__"
+        for node in ast.walk(top)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in lazy:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # from .pattern import Pattern, or from . import gf
+            found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "sigperm":
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "sigperm")
+    return found
+
+
+# the series counts, the forward label DP and the backward label table each
+# state the rules on their own, so no two of them share code
+@pytest.mark.parametrize("name", ["gf.py", "labeldp.py", "labeltable.py"])
+def test_leaf_routes_import_only_the_pattern(name):
+    assert _sigperm_imports(name) == {"pattern"}

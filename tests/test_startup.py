@@ -91,6 +91,7 @@ WATCHED = (
     "sigperm.labeldp",
     "sigperm.labeltable",
     "sigperm.gf",
+    "sigperm.paths",
     "sigperm.formulas",
     "sigperm.oracle",
     "sigperm.checks",
@@ -113,9 +114,11 @@ loaded = set(sys.modules) - before
 print(code, sorted(m for m in {WATCHED!r} if m in loaded))
 """
 
-PATTERN, CORE, GENTREE, LABELDP, TABLE, GF, FORMULAS, ORACLE = (
+PATTERN, CORE, GENTREE, LABELDP, TABLE, GF, PATHS, FORMULAS, ORACLE = (
     f"sigperm.{m}"
-    for m in ("pattern", "core", "gentree", "labeldp", "labeltable", "gf", "formulas", "oracle")
+    for m in (
+        "pattern", "core", "gentree", "labeldp", "labeltable", "gf", "paths", "formulas", "oracle",
+    )
 )
 CMD_COUNT, CMD_VERIFY, CMD_CONJECTURE, CMD_GF, CMD_TREE = (
     f"sigperm.cmd_{c}" for c in COMMAND_NAMES
@@ -135,8 +138,14 @@ COMMANDS = [
         ["count", "--n", "6", "--pattern", "1234", "--method", "formula", "--format", "csv"],
         [CMD_COUNT, RENDER, PATTERN, FORMULAS, JSON, "csv"],
     ),
+    # the series counts, a row or a column, run the leaf gf without the
+    # series by signature and the paths
     (
         ["count", "--n", "6", "--pattern", "2143", "--method", "gf"],
+        [CMD_COUNT, RENDER, PATTERN, GF, JSON],
+    ),
+    (
+        ["count", "--n", "6", "--pattern", "2143", "--method", "gf", "--j", "3"],
         [CMD_COUNT, RENDER, PATTERN, GF, JSON],
     ),
     # a full tree row reads the label table; one cell runs the forward DP,
@@ -156,12 +165,12 @@ COMMANDS = [
     ),
     (
         ["gf", "--pattern", "2143", "--k", "2", "--q", "1", "--gamma", "3"],
-        [CMD_GF, RENDER, PATTERN, GF, JSON],
+        [CMD_GF, RENDER, PATTERN, GF, PATHS, JSON],
     ),
     # the path cross-check walks gentree's succession rules
     (
         ["gf", "--pattern", "2143", "--k", "0", "--q", "3", "--gamma", "1,2", "--degree", "6"],
-        [CMD_GF, RENDER, PATTERN, CORE, GENTREE, LABELDP, GF, JSON],
+        [CMD_GF, RENDER, PATTERN, CORE, GENTREE, LABELDP, GF, PATHS, JSON],
     ),
     (
         ["count", "--n", "4", "--pattern", "2143", "--threads", "1"],
@@ -173,7 +182,7 @@ COMMANDS = [
     ),
     (
         ["verify", "--max-n", "3", "--threads", "1"],
-        [CMD_VERIFY, RENDER, PATTERN, CORE, TABLE, GF, FORMULAS, ORACLE, "sigperm.checks", JSON],
+        [CMD_VERIFY, RENDER, PATTERN, CORE, TABLE, GF, PATHS, FORMULAS, ORACLE, "sigperm.checks", JSON],
     ),
 ]
 
