@@ -87,6 +87,9 @@ def _write_payload(doc: dict[str, Any], write: Callable[[str], Any]) -> None:
         return inner, "," + inner
 
     key_text = cache(quote)  # every node repeats the same keys
+    # members of exact type str or int are written here, without a call to
+    # put; bool and every subclass take the scalar path
+    exact = {str: quote, int: int.__repr__}.get
 
     def put(value: Any, newline: str) -> None:
         # ``value`` at the indent ``newline`` opens
@@ -95,18 +98,26 @@ def _write_payload(doc: dict[str, Any], write: Callable[[str], Any]) -> None:
             sep = inner
             append("{")
             for key, member in sorted(value.items()):
-                extend((sep, key_text(key), ": "))
+                encode = exact(type(member))
+                if encode is None:
+                    extend((sep, key_text(key), ": "))
+                    put(member, inner)
+                else:
+                    extend((sep, key_text(key), ": ", encode(member)))
                 sep = comma
-                put(member, inner)
             extend((newline, "}") if sep is comma else ("}",))
         elif isinstance(value, (list, tuple, GeneratorType)):
             inner, comma = indent(newline)
             sep = inner
             append("[")
             for member in value:
-                append(sep)
+                encode = exact(type(member))
+                if encode is None:
+                    append(sep)
+                    put(member, inner)
+                else:
+                    extend((sep, encode(member)))
                 sep = comma
-                put(member, inner)
             extend((newline, "]") if sep is comma else ("]",))
         else:
             append(scalar(value))

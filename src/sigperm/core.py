@@ -186,7 +186,8 @@ def _pinned_loops(pattern: Pattern) -> list[str]:
     index ``t``, a test that each quadrant holds the entries the pattern
     needs there guards the nested loops with ``t`` matched to ``pin``; the
     other indices follow left to right, confined to their side of ``pin``.
-    A match returns its positions.  Both pinned kernels run these lines.
+    A match returns its positions.  The sweep of
+    :func:`avoiding_insertions` runs these lines once per cut.
     """
     pat = pattern.values
     lines = []
@@ -207,64 +208,14 @@ def _pinned_loops(pattern: Pattern) -> list[str]:
     return lines
 
 
-def _compiled_through(pattern: Pattern) -> Callable:
-    """``through(seq, pin)``: the search of :func:`find_occurrence_through`,
-    the quadrant counts around ``pin`` first, then :func:`_pinned_loops`."""
-    return _compile(
-        "through",
-        [
-            "def through(seq, pin):",
-            "    n = len(seq)",
-            "    pv = seq[pin]",
-            "    below = pv.__gt__",  # v < pv, counted without a Python-level loop
-            "    lb = sum(map(below, seq[:pin]))",
-            "    rb = sum(map(below, seq[pin + 1:]))",
-            "    la = pin - lb",
-            "    ra = n - 1 - pin - rb",
-            *_pinned_loops(pattern),
-            "    return None",
-        ],
-    )
-
-
-_THROUGHS: dict[tuple[int, ...], Callable] = {}
-
-
-def find_occurrence_through(
-    seq: Sequence[int], pattern: Pattern, pin: int
-) -> Optional[list[int]]:
-    """An occurrence of ``pattern`` in ``seq`` that uses position ``pin``.
-
-    Compiled once per pattern (and per process) into one function that, per
-    pattern index ``t``, runs plain nested ``for`` loops with ``t`` matched
-    to ``pin`` before the others, so ``seq[pin]`` bounds the value of every
-    later index and the positions of each side are confined to their side
-    of ``pin``.  An index ``t`` is skipped when one of the four quadrants
-    around ``pin`` holds fewer entries of ``seq`` than the pattern needs
-    there.  Any new occurrence in a word grown by one point from a word
-    that avoided ``pattern`` uses the new point, so this decides such a
-    word.  No hot path calls it: the tree and the avoider walk try all the
-    cuts of a new pair in one :func:`avoiding_insertions` call, which runs
-    the same loops.  Returns the increasing positions, or ``None``.
-    """
-    n_seq = len(seq)
-    if not 0 <= pin < n_seq:
-        raise IndexError(f"pin {pin} outside 0..{n_seq - 1}")
-    through = _THROUGHS.get(pattern.values)
-    if through is None:
-        through = _THROUGHS[pattern.values] = _compiled_through(pattern)
-    return through(seq, pin)
-
-
 def _compiled_insertions(pattern: Pattern) -> Callable:
     """``insertions(base, v)``: the sweep of :func:`avoiding_insertions`,
     which hands each cut's quadrant counts to ``occurs``, the loops of
     :func:`_pinned_loops`.  The entry that ``v`` passes moves to its left,
     so ``lb`` grows by one comparison; the other counts follow from
     ``total``, the entries below ``v``."""
-    # two compiles, each no larger than the single-pin kernel's: compiled as
-    # one unit, the two peaked 40 kB above it (tracemalloc, 12345), enough
-    # to raise a short command's peak RSS
+    # two compiles: compiled as one unit, the two peaked 40 kB higher
+    # (tracemalloc, 12345), enough to raise a short command's peak RSS
     occurs = _compile(
         "occurs",
         ["def occurs(seq, n, pin, pv, lb, la, rb, ra):", *_pinned_loops(pattern), "    return None"],
@@ -308,7 +259,7 @@ def avoiding_insertions(
     no occurrence of ``pattern`` through index ``cut``.  One list holds the
     child, from ``[v, *base, -v]`` at cut 0: two swaps move the pair to the
     next cut, the quadrant counts around ``v`` follow from one comparison,
-    and each cut runs the loops of :func:`find_occurrence_through` on them.
+    and each cut runs the loops of :func:`_pinned_loops` on them.
     Only accepted children become tuples, built from that list, so each has
     its exact size: a tuple grown from a generator would be resized, and
     CPython's tuple free lists then keep thousands of those resized tuples
@@ -381,7 +332,7 @@ class SignedPermutation(_Frozen):
         return hash(self.neg_images)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.neg_images) + "]"
+        return "[" + ",".join(map(str, self.neg_images)) + "]"
 
     def image(self, i: int) -> int:
         """The image ``w(i)``; for positive ``i`` derived as ``-w(-i)``."""

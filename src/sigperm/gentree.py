@@ -16,11 +16,14 @@ Three statistics label each node:
 
 One pass of trial insertions per node gives both its label and its
 children; :func:`children`, :func:`stats` and :func:`grow_tree` all run
-that pass, and :func:`active_sites` answers for a single gap.  The trials
-work on the node's full image sequence, shifted once per gap to make room
-for ``±gap``; one :func:`~sigperm.core.avoiding_insertions` sweep then puts
+that pass (:func:`stats` and the tree's leaves only at the gap that gives
+``y``), and :func:`active_sites` answers for a single gap.  The trials
+work on the node's full image sequence: one copy of it is shifted to make
+room for ``±gap`` at the lowest gap, and one pair moves back per higher
+gap.  Per gap, one :func:`~sigperm.core.avoiding_insertions` sweep puts
 ``gap`` and ``-gap`` at the mirror indices of every site and searches each
-child for the pattern only through ``gap``.
+child for the pattern only through ``gap``; the tuples it accepts are the
+children's full image sequences, which the tree grows from in turn.
 
 The label of a node determines the multiset of its children's labels.
 :func:`successors` lists each succession rule child by child.  Two label
@@ -35,7 +38,7 @@ The tests check the statements of each rule against each other.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .core import SignedPermutation, avoiding_insertions, find_occurrence_positions
 
@@ -77,10 +80,10 @@ class TreeLabel(NamedTuple):
 
 # The explicit tree is for desk-scale inspection only; the label dynamic
 # program (level_counts) has no cap.  `sigperm tree --j 3 --depth 5 --format
-# json` grows 102 230 nodes and streams 29.5 MB of JSON: 3.9-4.4 s for 2143
-# and 4.1-5.0 s for 1234, at 16.1-16.2 MB peak RSS for either (2 vCPUs,
-# Python 3.11).  The dump holds one path of the tree, so the caps bound its
-# time.
+# json` grows 102 230 nodes and streams 29.5 MB of JSON: 2.6-3.1 s for 2143
+# and 2.0 s for 1234, at 14.8-14.9 MB peak RSS for either (2 vCPUs, Python
+# 3.11, written to /dev/null).  The dump holds one path of the tree, so the
+# caps bound its time.
 MAX_TREE_NODES = 150_000
 MAX_TREE_J = 4
 
@@ -95,15 +98,16 @@ def tree_root(pattern: Pattern, j: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(-1, -j - 1, -1)))
 
 
-def _max_inserted(w: SignedPermutation) -> int:
-    """Largest negative-half image, or 0 when none is positive."""
-    return max((v for v in w.neg_images if v > 0), default=0)
-
-
 def _require_avoider(w: SignedPermutation, pattern: Pattern) -> None:
-    """The precondition of :func:`_accepted`, checked on the whole word."""
+    """The precondition of the trials, checked on the whole word."""
     if find_occurrence_positions(w.full_images(), pattern) is not None:
         raise ValueError(f"{w} contains {pattern}")
+
+
+def _shifted(full: Sequence[int], gap: int) -> list[int]:
+    """``full`` with every entry of ``|v| >= gap`` moved one step away from
+    zero, which makes room for the pair ``±gap``."""
+    return [v if -gap < v < gap else v - 1 if v < 0 else v + 1 for v in full]
 
 
 def _accepted(
@@ -113,25 +117,18 @@ def _accepted(
     at ``gap``, by increasing site; ``w`` must avoid ``pattern``.
 
     This is :meth:`SignedPermutation.insert` plus an avoidance check, on raw
-    image sequences: trees try (sites x gaps) candidates per node and most
-    are thrown away.  The entries of ``w`` with ``|v| >= gap`` move one step
-    away from zero once per gap; one :func:`~sigperm.core.avoiding_insertions`
-    sweep then tries ``gap`` at every ``cut = n + 1 - site`` of the negative
-    half and ``-gap`` at the mirror index.  A new occurrence must use
-    ``gap`` or ``-gap``, and reflecting through the origin maps one through
-    ``-gap`` onto one through ``gap``, because both tree patterns are their
-    own reverse complement; so the sweep's check through ``gap`` decides.
+    image sequences, for one gap: one :func:`~sigperm.core.avoiding_insertions`
+    sweep tries ``gap`` at every ``cut = n + 1 - site`` of the negative half
+    of the shifted full images, and ``-gap`` at the mirror index.  A new
+    occurrence must use ``gap`` or ``-gap``, and reflecting through the
+    origin maps one through ``-gap`` onto one through ``gap``, because both
+    tree patterns are their own reverse complement; so the sweep's check
+    through ``gap`` decides.  :func:`_expand` runs the same sweeps for every
+    gap of a node.
     """
     n = w.n
-    full = [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in w.full_images()]
-    sweep = avoiding_insertions(full, gap, pattern)
+    sweep = avoiding_insertions(_shifted(w.full_images(), gap), gap, pattern)
     return [(n + 1 - cut, child[: n + 1]) for cut, child in reversed(sweep)]
-
-
-def _label_gap(w: SignedPermutation, is_2143: bool) -> int:
-    """The gap whose trials give y: the lowest admissible one for 2143 (the
-    current layer), the top one for 1234 (the top layer)."""
-    return _max_inserted(w) + 1 if is_2143 else w.n + 1
 
 
 def children(w: SignedPermutation, pattern: Pattern) -> list[SignedPermutation]:
@@ -143,44 +140,53 @@ def children(w: SignedPermutation, pattern: Pattern) -> list[SignedPermutation]:
     """
     is_2143 = _require_tree_pattern(pattern)
     _require_avoider(w, pattern)
-    return _expand(w, pattern, is_2143, True)[1]
-
-
-def _sites_before_first_turn(w: SignedPermutation, is_2143: bool) -> int:
-    """Sites whose left prefix is still monotone: increasing word means no
-    descent yet (2143); decreasing word means no ascent yet (1234)."""
-    word = w.neg_images
-    if not word:
-        return 1
-    t = 0
-    while t + 1 < len(word) and (word[t] < word[t + 1]) == is_2143:
-        t += 1
-    return t + 2
-
-
-def _layer_number(w: SignedPermutation) -> int:
-    if w.n == 0:
-        return 1
-    m = max(w.neg_images)
-    heights = (-v for v in w.neg_images if v < 0)
-    return 1 + sum(1 for h in heights if h > m)
+    size = w.n + 1
+    kids = _expand(w.neg_images, w.full_images(), pattern, is_2143, True)[1]
+    return [SignedPermutation._unchecked(kid[:size]) for kid in kids]
 
 
 def _expand(
-    w: SignedPermutation, pattern: Pattern, is_2143: bool, grow: bool
-) -> tuple[TreeLabel, list[SignedPermutation]]:
-    """The label of ``w`` and, if ``grow``, its children, from one pass of
-    trial insertions; ``w`` must avoid ``pattern``.  y is read at
-    :func:`_label_gap`, the only gap tried when not growing."""
-    label_gap = _label_gap(w, is_2143)
-    y, kids = 0, []
-    for gap in range(_max_inserted(w) + 1, w.n + 2) if grow else (label_gap,):
-        accepted = _accepted(w, gap, pattern)
-        if gap == label_gap:
-            y = len(accepted)
-        if grow:
-            kids += (SignedPermutation._unchecked(word) for _, word in accepted)
-    return TreeLabel(_sites_before_first_turn(w, is_2143), y, _layer_number(w)), kids
+    neg: tuple[int, ...], full: tuple[int, ...], pattern: Pattern, is_2143: bool, grow: bool
+) -> tuple[TreeLabel, list[tuple[int, ...]]]:
+    """The label of the avoider with negative half ``neg`` and image
+    sequence ``full`` and, if ``grow``, the image sequences of its children,
+    by increasing gap and site, from one pass of trial insertions; the
+    avoider must avoid ``pattern``.
+
+    x counts the sites before the first descent (2143) or ascent (1234) of
+    ``neg``.  Every entry above the largest inserted image ``m`` (0 if
+    none) in absolute value is negative, so the layer number z is ``n + 1 -
+    m``, the number of admissible gaps.  y counts the sites the trials
+    accept at the label gap: the lowest admissible one for 2143 (the
+    current layer), the top one for 1234 (the top layer).  A node that does
+    not grow tries only that gap and keeps no child.  A growing node shifts
+    one copy of ``full`` for its lowest gap and then moves one pair back
+    per gap, in place, with one :func:`~sigperm.core.avoiding_insertions`
+    sweep per gap (see :func:`_accepted`).  Each accepted child is the
+    sweep's tuple, which is its image sequence, so the next level starts
+    from it.
+    """
+    n = len(neg)
+    t = 0
+    while t + 1 < n and (neg[t] < neg[t + 1]) == is_2143:
+        t += 1
+    m = max((0, *neg))
+    label_gap = m + 1 if is_2143 else n + 1
+    kids: list[tuple[int, ...]] = []
+    if grow:
+        base = _shifted(full, m + 1)
+        for gap in range(m + 1, n + 2):
+            if gap > m + 1:  # the pair shifted out for the last gap moves back
+                i = base.index(gap)
+                base[i], base[-1 - i] = gap - 1, 1 - gap
+            sweep = avoiding_insertions(base, gap, pattern)
+            if gap == label_gap:
+                y = len(sweep)
+            kids += [kid for _, kid in reversed(sweep)]
+    else:
+        base = full if label_gap > n else _shifted(full, label_gap)
+        y = len(avoiding_insertions(base, label_gap, pattern))
+    return TreeLabel(t + 2 if n else 1, y, n + 1 - m), kids
 
 
 def active_sites(
@@ -196,7 +202,7 @@ def active_sites(
     """
     is_2143 = _require_tree_pattern(pattern)
     if gap is None:
-        gap = _label_gap(w, is_2143)
+        gap = max((0, *w.neg_images)) + 1 if is_2143 else w.n + 1
     elif not 1 <= gap <= w.n + 1:
         raise ValueError(f"gap {gap} outside 1..{w.n + 1}")
     _require_avoider(w, pattern)
@@ -214,7 +220,7 @@ def stats(w: SignedPermutation, pattern: Pattern) -> TreeLabel:
     """
     is_2143 = _require_tree_pattern(pattern)
     _require_avoider(w, pattern)
-    return _expand(w, pattern, is_2143, False)[0]
+    return _expand(w.neg_images, w.full_images(), pattern, is_2143, False)[0]
 
 
 def successors(label: TreeLabel, pattern: Pattern) -> list[TreeLabel]:
@@ -312,12 +318,13 @@ def grow_tree(
             f"{MAX_TREE_NODES} nodes; level_counts gives level sizes beyond the cap"
         )
 
-    def grow(w: SignedPermutation, levels: int) -> T:
-        label, kids = _expand(w, pattern, is_2143, levels > 0)
+    def grow(full: tuple[int, ...], levels: int) -> T:
+        w = SignedPermutation._unchecked(full[: len(full) // 2])
+        label, kids = _expand(w.neg_images, full, pattern, is_2143, levels > 0)
         return node(w, label, (grow(kid, levels - 1) for kid in kids))
 
     _require_avoider(root, pattern)
-    return grow(root, depth)
+    return grow(root.full_images(), depth)
 
 
 def build_tree(pattern: Pattern, j: int, depth: int) -> PermTreeNode:

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, manifests, determinism."""
 
 import csv
+import enum
 import hashlib
 import json
 import multiprocessing
@@ -107,6 +108,28 @@ VALUES = st.recursive(
 )
 
 
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+    __str__ = __repr__
+
+
+class Label(str):
+    def __str__(self):
+        return "Label()"
+
+
+class Flag(enum.IntEnum):
+    ON = 1
+
+
+# scalars next to the exact str and int the writer writes directly: bools
+# and subclasses, whose own repr or str json ignores, take its generic
+# dispatch; ints past 64 bits are exact ints
+NEAR_EXACT = [True, False, Flag.ON, Count(7), Label("x\n"), 2**64, -(2**70)]
+
+
 class TestPayload:
     @settings(max_examples=100, deadline=None)
     @given(doc=st.dictionaries(TEXT, VALUES, max_size=4))
@@ -127,6 +150,21 @@ class TestPayload:
         )
         doc = {ESCAPED: [ESCAPED, {"k": ESCAPED}]}
         assert dumps_payload(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("accelerated", [True, False])
+    def test_only_exact_str_and_int_skip_the_dispatch(self, monkeypatch, accelerated):
+        if not accelerated:
+            import importlib.util
+
+            find_spec = importlib.util.find_spec
+            monkeypatch.setattr(
+                importlib.util,
+                "find_spec",
+                lambda name: None if name == "_json" else find_spec(name),
+            )
+        for value in NEAR_EXACT:
+            for doc in ({"x": [value, 1, "s"]}, {"x": ("s", value)}, {"x": value, "y": 1}):
+                assert dumps_payload(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("value", [{1, 2}, b"bytes", {1: "int key"}])
     def test_unencodable_value_raises_type_error(self, value):
@@ -1075,6 +1113,26 @@ child = subprocess.Popen([sys.executable, "-m", "sigperm.cli", *sys.argv[1:]])
 _, status, usage = os.wait4(child.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
 """
+
+# sha256 of the "tree" object of `tree --pattern P --j J --depth 4 --format
+# json`, the benchmark's tree walk, re-encoded as the cap dumps' are below
+WALK_DUMP_TREES = {
+    ("1234", 0): "a36563b715654838c0cabc9987b8fb3edd9cc15029fbe497e3eedaa66524d784",
+    ("1234", 1): "73909ff23db43f67d6795900b231b41333423af54510ca9259aeb0eb84e6febb",
+    ("1234", 2): "45c9a1d1c8ad0618a804e98836efa1236e5899d9e82edf0ff2a6a2ca3cbffcfc",
+    ("2143", 0): "f3bd19cafc2ab5af57d2bc7ed7818350c37f86a466e572b6e2025a478973e2f6",
+    ("2143", 1): "427e723592d29f2f2ed346d3bade284f1fa4e419c3b38ceb68a5f2450823bbab",
+    ("2143", 2): "0ff3e7db3b5a8cd56f14ef94b2f1e1d785e09eab19d5c3cb20a0d78a5b47477a",
+}
+
+
+@pytest.mark.parametrize("pattern, j", sorted(WALK_DUMP_TREES))
+def test_tree_walk_dumps_keep_their_bytes(capsys, pattern, j):
+    code, doc = run_json(capsys, "tree", "--pattern", pattern, "--j", str(j), "--depth", "4")
+    assert code == 0
+    tree = json.dumps(doc["tree"], sort_keys=True)
+    assert hashlib.sha256(tree.encode()).hexdigest() == WALK_DUMP_TREES[pattern, j]
+
 
 # sha256 of each cap-size dump's "tree" object, re-encoded with
 # json.dumps(tree, sort_keys=True)

@@ -12,7 +12,6 @@ from sigperm.core import (
     SignedPermutation,
     avoiding_insertions,
     find_occurrence_positions,
-    find_occurrence_through,
     parse,
     signed_permutations,
     standardize,
@@ -202,42 +201,36 @@ PINNED_PATTERNS = ("1", "21", "132", "1243", "2143", "1234", "3142", "12345", "2
 def _occurs_through(seq, pattern, pin):
     """Reference: some k-combination of positions holding ``pin``
     standardizes to the pattern."""
+    others = [p for p in range(len(seq)) if p != pin]
     return any(
-        pin in combo and standardize([seq[p] for p in combo]) == pattern.values
-        for combo in itertools.combinations(range(len(seq)), len(pattern))
+        standardize([seq[p] for p in sorted((pin, *combo))]) == pattern.values
+        for combo in itertools.combinations(others, len(pattern) - 1)
     )
 
 
-def _check_through(seq, pattern, pin):
-    got = find_occurrence_through(seq, pattern, pin)
-    assert (got is not None) == _occurs_through(seq, pattern, pin), (seq, pattern, pin)
-    if got is not None:
-        assert pin in got
-        assert got == sorted(set(got)) and len(got) == len(pattern)
-        assert standardize([seq[p] for p in got]) == pattern.values
+def _accepted_at_pin(seq, pattern, pin):
+    """Whether the sweep accepts ``seq``, an image sequence, as the child
+    that puts the pair ``±seq[pin]`` at cut ``pin``, for ``pin`` in its left
+    half: the pinned loops' answer at ``pin``."""
+    L = len(seq)
+    base = seq[:pin] + seq[pin + 1 : L - 1 - pin] + seq[L - pin :]
+    accepted = dict(avoiding_insertions(base, seq[pin], pattern))
+    assert accepted.get(pin, seq) == seq
+    return pin in accepted
 
 
 class TestPinnedKernel:
+    """The loops of ``core._pinned_loops``, as the sweep runs them."""
+
     def test_matches_reference_exhaustively(self):
         for n in range(4):
             for w in signed_permutations(n):
                 seq = w.full_images()
                 for text in PINNED_PATTERNS:
-                    for pin in range(len(seq)):
-                        _check_through(seq, Pattern.parse(text), pin)
-
-    @given(
-        st.lists(st.integers(-30, 30), min_size=1, max_size=12, unique=True),
-        st.sampled_from(PINNED_PATTERNS),
-        st.data(),
-    )
-    def test_matches_reference_random(self, seq, text, data):
-        pin = data.draw(st.integers(0, len(seq) - 1))
-        _check_through(seq, Pattern.parse(text), pin)
-
-    def test_pin_out_of_range(self):
-        with pytest.raises(IndexError):
-            find_occurrence_through([1, 2], P1234, 2)
+                    pattern = Pattern.parse(text)
+                    for pin in range(n):
+                        want = not _occurs_through(seq, pattern, pin)
+                        assert _accepted_at_pin(seq, pattern, pin) == want, (seq, text, pin)
 
 
 def _spliced(base, v):
@@ -251,12 +244,22 @@ def _spliced(base, v):
 
 
 def _per_cut(base, v, pattern):
-    """Reference for ``avoiding_insertions``: each spliced child checked
-    through ``v`` with the single-pin kernel."""
+    """Reference for ``avoiding_insertions``: each spliced child kept unless
+    some combination of its entries holding index ``cut`` is an
+    occurrence."""
     return [
         (cut, child)
         for cut, child in _spliced(base, v)
-        if find_occurrence_through(child, pattern, cut) is None
+        if not _occurs_through(child, pattern, cut)
+    ]
+
+
+def _whole_word(base, v, pattern):
+    """The spliced children that avoid ``pattern`` as whole words."""
+    return [
+        (cut, child)
+        for cut, child in _spliced(base, v)
+        if find_occurrence_positions(child, pattern) is None
     ]
 
 
@@ -266,42 +269,56 @@ def _shifted(seq, gap):
     return [v if abs(v) < gap else (v - 1 if v < 0 else v + 1) for v in seq]
 
 
+def _both_sweeps(base, v, pattern):
+    """The children that the sweeps for ``pattern`` and for its reverse
+    complement both accept: on a base that avoids the pattern, those that
+    avoid it, since an occurrence through ``-v`` reflects to one of the
+    reverse complement through ``v``."""
+    cuts = {cut for cut, _ in avoiding_insertions(base, v, pattern.reverse_complement())}
+    return [(cut, child) for cut, child in avoiding_insertions(base, v, pattern) if cut in cuts]
+
+
 class TestAvoidingInsertions:
-    """The sweep of every cut against the per-cut pinned kernel."""
+    """The sweep of every cut against whole-word scans and a combinations
+    search through the cut."""
 
     def test_tree_bases_every_gap(self):
-        words = [w for n in range(5) for w in signed_permutations(n)]
+        # the shifted image sequences the tree sweeps: against the whole-word
+        # scan where the word avoids, else against the search through the cut
         for text in PINNED_PATTERNS:
             pattern = Pattern.parse(text)
-            for w in words:
-                for gap in range(1, w.n + 2):
-                    base = _shifted(w.full_images(), gap)
-                    got = avoiding_insertions(base, gap, pattern)
-                    assert got == _per_cut(base, gap, pattern), (w, gap, text)
+            for n in range(5):
+                for w in signed_permutations(n):
+                    avoids = find_occurrence_positions(w.full_images(), pattern) is None
+                    if not avoids and n > 3:
+                        continue
+                    for gap in range(1, n + 2):
+                        base = _shifted(w.full_images(), gap)
+                        if avoids:
+                            got = _both_sweeps(base, gap, pattern)
+                            assert got == _whole_word(base, gap, pattern), (w, gap, text)
+                        else:
+                            got = avoiding_insertions(base, gap, pattern)
+                            assert got == _per_cut(base, gap, pattern), (w, gap, text)
 
     def test_avoider_bases_match_whole_word_scan(self):
-        # an avoider's child holds an occurrence only through v or -v, and one
-        # through -v reflects to one of the reverse complement through v, so
-        # the two sweeps together keep exactly the children that avoid
+        # an avoider's child holds an occurrence only through v or -v, so the
+        # sweeps for the pattern and its reverse complement together keep
+        # exactly the children that avoid; for a pattern that is its own
+        # reverse complement, one sweep does
         for text in PINNED_PATTERNS:
             pattern = Pattern.parse(text)
-            mirror = pattern.reverse_complement()
+            symmetric = pattern.reverse_complement() == pattern
             for n in range(5):
                 for w in signed_permutations(n):
                     base = w.full_images()
                     if find_occurrence_positions(base, pattern) is not None:
                         continue
                     for v in (n + 1, -(n + 1)):
-                        got = avoiding_insertions(base, v, pattern)
-                        assert got == _per_cut(base, v, pattern), (w, v, text)
-                        cuts = {cut for cut, _ in avoiding_insertions(base, v, mirror)}
-                        kept = [child for cut, child in got if cut in cuts]
-                        whole = [
-                            child
-                            for _, child in _spliced(base, v)
-                            if find_occurrence_positions(child, pattern) is None
-                        ]
-                        assert kept == whole, (w, v, text)
+                        whole = _whole_word(base, v, pattern)
+                        assert _both_sweeps(base, v, pattern) == whole, (w, v, text)
+                        if symmetric:
+                            assert avoiding_insertions(base, v, pattern) == whole, (w, v, text)
 
     def test_float_bases_match_int_bases(self):
         # the same sweep on values scaled down and up to the largest floats
@@ -336,8 +353,9 @@ PRUNED_PATTERNS = ("1234", "2143", "1243", "3142", "12345", "21354")
 
 
 class TestDominancePruning:
-    """Both kernels against the references on words long enough for every
-    pruning mode of the compiled loops to fire."""
+    """The whole-word search and the sweep's pinned loops against the
+    references on words long enough for every pruning mode of the compiled
+    loops to fire."""
 
     def test_every_word_of_b4_at_every_pin(self):
         words = [w.full_images() for w in signed_permutations(4)]
@@ -353,11 +371,9 @@ class TestDominancePruning:
                 first = list(occurrences[0]) if occurrences else None
                 assert find_occurrence_positions(seq, pattern) == first, (seq, text)
                 covered = {p for combo in occurrences for p in combo}
-                for pin in range(len(seq)):
-                    got = find_occurrence_through(seq, pattern, pin)
-                    assert (got is not None) == (pin in covered), (seq, text, pin)
-                    if got is not None:
-                        assert pin in got and tuple(got) in occurrences, (seq, text, pin)
+                for pin in range(len(seq) // 2):
+                    accepted = _accepted_at_pin(seq, pattern, pin)
+                    assert accepted == (pin not in covered), (seq, text, pin)
 
     def test_float_words_match_int_words(self):
         # the thresholds start at an int sentinel, which must stay above and
@@ -371,11 +387,16 @@ class TestDominancePruning:
         for seq in words:
             for pattern in patterns:
                 want = find_occurrence_positions(seq, pattern)
-                pinned = [find_occurrence_through(seq, pattern, pin) for pin in range(len(seq))]
-                for floats in ([v / 2 for v in seq], [v * 4e307 for v in seq]):
+                sweeps = [avoiding_insertions(seq, v, pattern) for v in (5, -5)]
+                for scale in (0.5, 4e307):
+                    floats = [v * scale for v in seq]
                     assert find_occurrence_positions(floats, pattern) == want, (floats, pattern)
-                    got = [find_occurrence_through(floats, pattern, pin) for pin in range(len(seq))]
-                    assert got == pinned, (floats, pattern)
+                    got = [avoiding_insertions(floats, v * scale, pattern) for v in (5, -5)]
+                    scaled = [
+                        [(cut, tuple(x * scale for x in child)) for cut, child in sweep]
+                        for sweep in sweeps
+                    ]
+                    assert got == scaled, (floats, pattern)
 
     @pytest.mark.parametrize(
         "text, word, first",

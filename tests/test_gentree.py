@@ -46,6 +46,20 @@ def reference_accepted(w, gap, pattern):
     return [(site, kid.neg_images) for site, kid in kids if kid.avoids(pattern)]
 
 
+def reference_label(w, pattern):
+    """The label (x, y, z) of ``w`` from the definitions: the sites before
+    the first turn, the trials at the label gap through the public
+    insertion, and one more than the number of heights above every image."""
+    word = w.neg_images
+    is_2143 = pattern == P2143
+    turns = [t for t in range(len(word) - 1) if (word[t] < word[t + 1]) != is_2143]
+    x = (turns[0] if turns else len(word) - 1) + 2 if word else 1
+    m = max((v for v in word if v > 0), default=0)
+    y = len(reference_accepted(w, m + 1 if is_2143 else w.n + 1, pattern))
+    z = 1 + sum(1 for v in word if -v > max(word))
+    return TreeLabel(x, y, z)
+
+
 @st.composite
 def grown_avoiders(draw, pattern, min_n, max_n):
     """An avoider of size ``min_n..max_n``, grown one insertion at a time
@@ -126,6 +140,13 @@ class TestStats:
     def test_root_label(self, pattern, j):
         assert stats(tree_root(pattern, j), pattern) == (j + 1, j + 1, j + 1)
 
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_labels_match_their_definitions(self, pattern):
+        for n in range(5):
+            for w in signed_permutations(n):
+                if w.avoids(pattern):
+                    assert stats(w, pattern) == reference_label(w, pattern), w
+
     def test_rejects_containing_permutation(self):
         w = parse("[-2,-1]")  # embeds to 1234
         with pytest.raises(ValueError):
@@ -202,7 +223,7 @@ class TestChildren:
         assert children(parse("[]"), P2143) == [parse("[1]")]
 
     def test_trial_word_path_matches_public_insert(self):
-        # the raw-sequence trial loop used inside children/active_sites must
+        # the raw-sequence trials of one gap, which active_sites reads, must
         # be the same map as SignedPermutation.insert plus an avoidance
         # check, on its precondition: the word avoids the pattern
         for w in signed_permutations(4):
@@ -219,6 +240,22 @@ class TestChildren:
         w = data.draw(grown_avoiders(pattern, 5, 8))
         for gap in range(1, w.n + 2):
             assert _accepted(w, gap, pattern) == reference_accepted(w, gap, pattern)
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_children_and_label_match_public_insert_past_four(self, pattern, data):
+        # one pass of sweeps over a base shifted in place, gap by gap,
+        # against the public insertion and the label's definitions
+        w = data.draw(grown_avoiders(pattern, 5, 8))
+        m = max((v for v in w.neg_images if v > 0), default=0)
+        want = [
+            SignedPermutation(word)
+            for gap in range(m + 1, w.n + 2)
+            for _, word in reference_accepted(w, gap, pattern)
+        ]
+        assert children(w, pattern) == want
+        assert stats(w, pattern) == reference_label(w, pattern)
 
     @pytest.mark.parametrize("pattern", BOTH)
     def test_root_of_statistic_two_has_nine_children(self, pattern):
@@ -399,18 +436,22 @@ class TestExplicitTree:
         # only the root is scanned whole, and no (node, gap) trials repeat
         scans, trials = [], []
         true_scan = sigperm.gentree.find_occurrence_positions
-        true_accepted = sigperm.gentree._accepted
+        true_sweep = sigperm.gentree.avoiding_insertions
 
         def scan(seq, p):
             scans.append(tuple(seq))
             return true_scan(seq, p)
 
-        def accepted(w, gap, p):
+        def sweep(base, gap, p):
+            # the node is the base's negative half with the room for the
+            # pair at gap closed again
+            neg = base[: len(base) // 2]
+            w = SignedPermutation(v if abs(v) < gap else v - (v > 0) + (v < 0) for v in neg)
             trials.append((w, gap))
-            return true_accepted(w, gap, p)
+            return true_sweep(base, gap, p)
 
         monkeypatch.setattr(sigperm.gentree, "find_occurrence_positions", scan)
-        monkeypatch.setattr(sigperm.gentree, "_accepted", accepted)
+        monkeypatch.setattr(sigperm.gentree, "avoiding_insertions", sweep)
         root = build_tree(pattern, 1, 3)
         assert scans == [root.perm.full_images()]
         assert len(set(trials)) == len(trials)
@@ -438,9 +479,9 @@ class TestExplicitTree:
         expanded = []
         true_expand = sigperm.gentree._expand
 
-        def expand(w, *args):
-            expanded.append(w)
-            return true_expand(w, *args)
+        def expand(neg, *args):
+            expanded.append(SignedPermutation(neg))
+            return true_expand(neg, *args)
 
         monkeypatch.setattr(sigperm.gentree, "_expand", expand)
         root = grow_tree(P2143, 1, 2, lambda perm, label, kids: (perm, label, kids))
