@@ -39,25 +39,17 @@ def run_checks(max_n: int, workers: int) -> list[dict[str, str]]:
     routes = ("brute", "tree", "gf")
 
     def series_grid() -> Iterator[str]:
-        # F(., ., gamma) reads only the memo entries of gamma's suffixes, and
-        # those with two or more entries end in gamma's last two; so each
-        # group of signatures sharing that tail gets a cache of its own,
-        # dropped when the group ends, and only the one-entry series s^k are
-        # computed again.  The memo keys carry the rule, so one cache serves
-        # both.
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for g1 in range(1, 6):
-            for gamma in gf.signatures(g1, 4):
-                groups.setdefault(gamma[-2:], []).append(gamma)
-        for group in groups.values():
-            cache = gf.SeriesCache(SERIES_GRID_DEGREE)
-            for gamma in group:
-                for k in range(6):
-                    for q in range(1, 6):
-                        if cache.series(p2143, k, q, gamma) != cache.series(
-                            p1234, k, q, gamma
-                        ):
-                            yield f"k={k} q={q} gamma={gamma}"
+        # F(., ., gamma) reads only the tables of gamma's suffixes, and the
+        # cache keeps those of the last signature it was asked for; sorted by
+        # reversed tuple, the signatures sharing a suffix run one after
+        # another, so each suffix's table is built once and at most four live
+        cache = gf.SeriesCache(SERIES_GRID_DEGREE)
+        signatures = (gamma for g1 in range(1, 6) for gamma in gf.signatures(g1, 4))
+        for gamma in sorted(signatures, key=lambda gamma: gamma[::-1]):
+            for k in range(6):
+                for q in range(1, 6):
+                    if cache.series(p2143, k, q, gamma) != cache.series(p1234, k, q, gamma):
+                        yield f"k={k} q={q} gamma={gamma}"
 
     with oracle.scan_rows(max_n, patterns, workers) as collect_scan:
         exact = {

@@ -29,7 +29,6 @@ sequence of ``(x, y, z)`` points.
 from __future__ import annotations
 
 import itertools
-from math import comb
 from operator import add, sub
 from typing import TYPE_CHECKING, Counter as CounterT, Iterable
 
@@ -89,34 +88,37 @@ def signatures(first: int, max_len: int) -> list[tuple[int, ...]]:
     return out
 
 
-# SeriesCache recurses once per signature entry, about two stack frames each,
-# so SeriesCache.series refuses longer signatures well inside the default
+# SeriesCache grows a signature's tables one stack frame per entry, so
+# SeriesCache.series refuses longer signatures well inside the default
 # recursion limit.  At this length and degree 8, f_series(2143, 0, 1, [2]*200)
-# takes about 1.5 s and f_series(2143, 3, 3, [5, 6, 7] + [2]*197) 5-6 s (one
-# core of a 2-vCPU x86-64 virtual machine, Python 3.11).
+# takes about 0.04 s and f_series(2143, 3, 3, [5, 6, 7] + [2]*197) 0.16 s
+# (one core of a 2-vCPU x86-64 virtual machine, Python 3.11).
 MAX_SIGNATURE_LENGTH = 200
 
 
 class SeriesCache:
     """Memoized evaluator of the path series at one fixed degree bound.
 
-    The memo maps keys (rule, k, q, gamma), where the rule is True for 2143
-    and False for 1234, to tuples of ``degree_bound + 1`` coefficients; the
-    degree bound is ambient to the session, so entries from different bounds
-    never mix, and :meth:`series` returns the memoized tuple itself.  The
-    memo keeps every entry for the cache's lifetime, about 0.5 KB per entry
-    at degree 10, so a long session bounds its memory by dropping the cache.
-    Evaluation is a pure function of the key, so concurrent duplicate
-    computation would be idempotent; within one session a plain dict
-    suffices.
+    The cache keeps one table for each suffix of the signature it was last
+    asked for, and drops the others when the signature changes, so a walk
+    over signatures sorted by their reversed tuples builds each table once.
+    The table of ``gamma`` holds ``F(k, q, gamma)`` for ``k <= K`` and ``1 <=
+    q <= Q`` as a list of layers for each rule, each layer a list over ``k``
+    of ``degree_bound + 1`` coefficients; the layer ``q = 1``, where the two
+    rules coincide, is one list shared by both.  A table grows append-only
+    in ``k`` and ``q`` as calls ask for more, after its suffix's table has
+    grown as far as it reads, and :meth:`series` returns the tuple it holds.
+    Every call may change what the cache holds, so threads do not share one.
     """
 
     def __init__(self, degree_bound: int):
         if degree_bound < 0:
             raise ValueError("degree bound must be nonnegative")
         self.degree_bound = degree_bound
-        self._memo: dict[tuple[bool, int, int, tuple[int, ...]], tuple[int, ...]] = {}
         self._zero = (0,) * (degree_bound + 1)
+        self._gamma: tuple[int, ...] | None = None
+        # _tables[i] is the table of _gamma[i:]: its 2143 and its 1234 layers
+        self._tables: list[tuple[list[list[tuple[int, ...]]], ...]] = []
 
     def series(self, pattern: Pattern, k: int, q: int, gamma: Iterable[int]) -> tuple[int, ...]:
         """The coefficients of ``F(pattern, k, q, gamma)`` in degrees
@@ -128,63 +130,67 @@ class SeriesCache:
         if k < 0:
             raise ValueError("k must be nonnegative")
         rule_2143 = _require_tree_pattern(pattern)
-        gamma = validate_signature(gamma)
+        if (gamma := tuple(gamma)) != self._gamma:
+            self._switch(gamma)
+        if q <= 0:
+            return self._zero
+        self._grow(0, k + 1, q)
+        rows_2143, rows_1234 = self._tables[0]
+        return (rows_2143 if rule_2143 else rows_1234)[q - 1][k]
+
+    def _switch(self, gamma: tuple[int, ...]) -> None:
+        """Keep the tables of the suffixes ``gamma`` shares with the last
+        signature, and start empty ones for the others."""
+        validate_signature(gamma)
         if len(gamma) > MAX_SIGNATURE_LENGTH:
             raise ValueError(
                 f"signature has {len(gamma)} entries, more than the bound "
                 f"{MAX_SIGNATURE_LENGTH}"
             )
-        return self._f(rule_2143, k, q, gamma)
+        old, shared = self._gamma or (), 0
+        while shared < min(len(gamma), len(old)) and gamma[-1 - shared] == old[-1 - shared]:
+            shared += 1
+        kept = self._tables[len(old) - shared :]
+        self._tables, self._gamma = [([], []) for _ in gamma[shared:]] + kept, gamma
 
-    def _f(
-        self, rule_2143: bool, k: int, q: int, gamma: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """Recurse on the signature tail only; the chains in ``q`` and ``k``
-        run as loops, so the stack depth is bounded by ``len(gamma)``."""
-        if q <= 0:
-            return self._zero
-        if q == 1:
-            rule_2143 = True  # the two succession rules coincide at layer 1
-        hit = self._memo.get((rule_2143, k, q, gamma))
-        if hit is not None:
-            return hit
-        if len(gamma) == 1:
-            # s^k: coefficient d is C(d + k - 1, d)
-            if k == 0:
-                val = (1,) + self._zero[1:]
-            else:
-                val = tuple(comb(d + k - 1, d) for d in range(self.degree_bound + 1))
-            self._memo[(rule_2143, k, q, gamma)] = val
-            return val
-        g1, g2 = gamma[0], gamma[1]
-        rest = gamma[1:]
-        if rule_2143 and k > 0:
-            # F(k) = s * (F(k-1) + F(g1+1-g2+k, rest) - F(g1-g2+k, rest))
-            val = self._f(rule_2143, 0, q, gamma)
-            for step in range(1, k + 1):
-                memo_key = (rule_2143, step, q, gamma)
-                hit = self._memo.get(memo_key)
-                if hit is None:
-                    up = self._f(rule_2143, g1 + 1 - g2 + step, q, rest)
-                    down = self._f(rule_2143, g1 - g2 + step, q, rest)
-                    # multiplying by s takes prefix sums of the coefficients
-                    hit = tuple(itertools.accumulate(map(sub, map(add, val, up), down)))
-                    self._memo[memo_key] = hit
-                val = hit
-            return val
-        # F(q) = F(q-1) + F(g1+1-g2+k, q, rest), from layer 0 for 2143 and
-        # from the shared layer 1 for 1234
-        low = 0 if rule_2143 else 1
-        val = self._f(True, k, low, gamma)
-        for layer in range(low + 1, q + 1):
-            memo_key = (rule_2143, k, layer, gamma)
-            hit = self._memo.get(memo_key)
-            if hit is None:
-                lower = self._f(rule_2143, g1 + 1 - g2 + k, layer, rest)
-                hit = tuple(map(add, val, lower))
-                self._memo[memo_key] = hit
-            val = hit
-        return val
+    def _grow(self, i: int, width: int, layers: int) -> None:
+        """Grow the table of ``_gamma[i:]`` to at least ``width`` values of
+        ``k`` and ``layers`` layers, and its suffixes' as far as it reads."""
+        rows_2143, rows_1234 = self._tables[i]
+        have = len(rows_2143[0]) if rows_2143 else 0
+        if have >= width and len(rows_2143) >= layers:
+            return
+        width, layers = max(width, have), max(layers, len(rows_2143))
+        if i + 1 == len(self._tables):
+            # a one-entry signature gives s^k on every layer under both rules;
+            # multiplying by s takes prefix sums of the coefficients
+            if not rows_2143:
+                rows_2143.append([(1,) + self._zero[1:]])
+            powers = rows_2143[0]
+            for _ in range(have, width):
+                powers.append(tuple(itertools.accumulate(powers[-1])))
+            rows_2143.extend([powers] * (layers - len(rows_2143)))
+            rows_1234[:] = rows_2143
+            return
+        shift = self._gamma[i] + 1 - self._gamma[i + 1]
+        self._grow(i + 1, width + shift, layers)
+        rest_2143, rest_1234 = self._tables[i + 1]
+        for q in range(1, layers + 1):
+            if q > len(rows_2143):
+                # F(0, q) = F(0, q-1) + F(g1+1-g2, q, rest), from F(0, 0) = 0
+                up = rest_2143[q - 1][shift]
+                rows_2143.append([tuple(map(add, rows_2143[-1][0], up)) if q > 1 else up])
+                rows_1234.append([] if q > 1 else rows_2143[0])
+            row, up = rows_2143[q - 1], rest_2143[q - 1]
+            for k in range(len(row), width):
+                # F(k) = s * (F(k-1) + F(g1+1-g2+k, rest) - F(g1-g2+k, rest))
+                step = map(sub, map(add, row[k - 1], up[shift + k]), up[shift + k - 1])
+                row.append(tuple(itertools.accumulate(step)))
+            if q > 1:
+                # 1234: F(q) = F(q-1) + F(g1+1-g2+k, q, rest), from the shared layer 1
+                row, up, lower = rows_1234[q - 1], rest_1234[q - 1], rows_1234[q - 2]
+                for k in range(len(row), width):
+                    row.append(tuple(map(add, lower[k], up[shift + k])))
 
 
 def f_series(

@@ -796,8 +796,29 @@ class TestVerify:
             {"name": "series-grid", "status": "fail", "detail": "k=5 q=5 gamma=(5, 6, 7, 8)"}
         ]
 
-    def test_series_grid_holds_one_tail_group(self):
-        # one memo for the whole grid held all 16 776 entries, 7.8 MiB
+    def test_series_grid_names_the_first_failure_in_suffix_order(self, capsys, monkeypatch):
+        # sorted by reversed tuple, (2,) runs before (1, 2), though it starts higher
+        true_series = sigperm.gf.SeriesCache.series
+        planted = {("1234", 0, 1, (1, 2)), ("1234", 0, 1, (2,))}
+
+        def perturbed(cache, pattern, k, q, gamma):
+            series = true_series(cache, pattern, k, q, gamma)
+            if (str(pattern), k, q, tuple(gamma)) in planted:
+                return (*series[:-1], series[-1] + 1)
+            return series
+
+        monkeypatch.setattr(sigperm.gf.SeriesCache, "series", perturbed)
+        code, doc = run_json(capsys, "verify", "--max-n", "1")
+        assert code == 1
+        failed = [row for row in doc["rows"] if row["status"] == "fail"]
+        assert failed == [
+            {"name": "series-grid", "status": "fail", "detail": "k=0 q=1 gamma=(2,)"}
+        ]
+
+    def test_series_grid_holds_one_suffix_chain(self):
+        # one cache holds only the tables of the last signature's suffixes,
+        # at most four here, about 100 KiB; a memo of every (rule, k, q,
+        # gamma) per two-entry tail peaked at 631 KiB
         assert sigperm.checks.run_checks(2, 1)  # warm up: imports, caches and free lists
         tracemalloc.start()
         try:
@@ -806,7 +827,7 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert {row["status"] for row in rows} == {"pass"}
-        assert peak < 2 * 1024 * 1024
+        assert peak < 256 * 1024
 
     def test_failure_detail_survives_csv(self, capsys, monkeypatch):
         monkeypatch.setattr(sigperm.oracle, "egge_formula", lambda n: 0)

@@ -1,5 +1,7 @@
 """Signatures, lattice paths, and the path series."""
 
+import hashlib
+import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -162,6 +164,87 @@ class TestSeries:
     def test_zero_conventions(self):
         assert f_series(P2143, 2, 0, (3, 2), 4) == (0,) * 5
         assert f_series(P1234, 2, -1, (3,), 4) == (0,) * 5
+
+
+# sha256 of one line "pattern k q gamma series" per point of verify's series
+# grid, patterns 1234 then 2143, signatures in the order of `signatures`
+# (starts 1..5, at most 4 entries), k = 0..5, q = 1..5, degree 10; computed
+# with the per-key memo that the suffix tables replaced
+GRID_SHA256 = "846ab0fea5c7a049a5629742ff6fab7347ff255fca2cc26f7cce5959d2daa1bb"
+# f_series(P, 3, 3, [5, 6, 7] + [2] * 197, 8), the same for both patterns
+LONG_SIGNATURE_SERIES = (
+    20100,
+    210115305,
+    887148936411,
+    2101163685121914,
+    3230090109320890410,
+    3509331782561364469395,
+    2851265657970669804407865,
+    1804115269676168465476199256,
+    916651892245722852573167358204,
+)
+
+
+class TestSeriesValuesPinned:
+    def test_grid_series_hash(self):
+        digest = hashlib.sha256()
+        for pattern in BOTH:
+            cache = SeriesCache(10)
+            for g1 in range(1, 6):
+                for gamma in signatures(g1, 4):
+                    for k in range(6):
+                        for q in range(1, 6):
+                            series = cache.series(pattern, k, q, gamma)
+                            digest.update(f"{pattern} {k} {q} {gamma} {series}\n".encode())
+        assert digest.hexdigest() == GRID_SHA256
+
+    @pytest.mark.parametrize("pattern", BOTH)
+    def test_long_signature(self, pattern):
+        gamma = [5, 6, 7] + [2] * 197
+        assert len(gamma) == MAX_SIGNATURE_LENGTH
+        assert f_series(pattern, 3, 3, gamma, 8) == LONG_SIGNATURE_SERIES
+
+
+class TestSeriesCacheMemo:
+    @staticmethod
+    def assert_holds_only_suffix_tables(cache, gamma):
+        # table i holds, for each rule and layer, F(k, q, gamma[i:]) for every
+        # k it has grown to; the 1234 and 2143 layers q = 1 are one list
+        assert len(cache._tables) == len(gamma)
+        for i, (rows_2143, rows_1234) in enumerate(cache._tables):
+            assert len(rows_2143) == len(rows_1234) and rows_1234[0] is rows_2143[0]
+            for pattern, rows in ((P2143, rows_2143), (P1234, rows_1234)):
+                for q, row in enumerate(rows, 1):
+                    for k, series in enumerate(row):
+                        expected = f_series(pattern, k, q, gamma[i:], cache.degree_bound)
+                        assert series == expected, (pattern, k, q, gamma[i:])
+
+    def test_holds_tables_only_for_the_last_signatures_suffixes(self):
+        cache = SeriesCache(5)
+        for gamma in [(3, 4, 2), (2, 3, 4, 2), (1, 2), (2,), (4, 2, 3, 2)]:
+            cache.series(P1234, 2, 3, gamma)
+            self.assert_holds_only_suffix_tables(cache, gamma)
+        # a failed call keeps the tables it found
+        with pytest.raises(ValueError):
+            cache.series(P2143, 0, 1, (4, 2, 1))
+        self.assert_holds_only_suffix_tables(cache, (4, 2, 3, 2))
+        cache.series(P2143, 0, 0, (3, 2))
+        self.assert_holds_only_suffix_tables(cache, (3, 2))
+
+    def test_shuffled_points_match_a_fresh_cache_per_point(self):
+        points = [
+            (pattern, k, q, gamma)
+            for pattern in BOTH
+            for g1 in range(1, 5)
+            for gamma in signatures(g1, 4)
+            for k in range(5)
+            for q in range(5)
+        ]
+        random.Random(38).shuffle(points)
+        cache = SeriesCache(6)
+        for point in points:
+            assert cache.series(*point) == f_series(*point, 6), point
+            assert len(cache._tables) == len(point[3])
 
 
 FAR_N = 40
